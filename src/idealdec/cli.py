@@ -27,6 +27,7 @@ from .files import (
     FileFormatError,
     generator_lines,
     read_generators,
+    read_ideal,
     sha256_of_file,
 )
 from .groebner import GroebnerError
@@ -95,10 +96,9 @@ def _input_line(path: str) -> str:
 
 def _read_ideal(path: str) -> Ideal:
     try:
-        ring, polys = read_generators(path)
+        return read_ideal(path)
     except OSError as ex:
         raise CliError(f"cannot read {path}: {ex.strerror or ex}")
-    return Ideal(ring, polys)
 
 
 def _read_symmetries(path: str, ring: PolyRing) -> Tuple[SymmetryAction, ...]:
@@ -276,8 +276,7 @@ def _cmd_decompose(args, sink: List[str]) -> int:
         if prov.u_names:
             sink.append(f"{tag} u {','.join(prov.u_names)}")
         for c_text, exponent in prov.saturations:
-            exp = str(exponent) if exponent is not None else "?"
-            sink.append(f"{tag} saturation {c_text} exp={exp}")
+            sink.append(f"{tag} saturation {c_text} exp={exponent}")
         if comp.obligation:
             sink.append(f"{tag} obligation {comp.obligation}")
         for g in comp.primary.canonical_generators():

@@ -69,7 +69,7 @@ class Provenance:
     recursion depth, and free-form notes."""
 
     u_names: Tuple[str, ...] = ()
-    saturations: Tuple[Tuple[str, Optional[int]], ...] = ()
+    saturations: Tuple[Tuple[str, int], ...] = ()
     depth: int = 0
     notes: Tuple[str, ...] = ()
 
@@ -363,11 +363,10 @@ def _with_note(c: PrimaryComponent, note: str) -> PrimaryComponent:
 
 def _saturation_split(I: Ideal, h: Polynomial) -> List[Ideal]:
     """I = (I : h^inf) /\\ (I + <h^m>) with m the saturation exponent."""
-    res = saturate(I, h, "iterate")
-    if res.ideal.equals(I):
+    res = saturate(I, h)
+    if res.exponent == 0:
         return []
-    m = max(res.exponent or 1, 1)
-    return [res.ideal, ideal_sum(I, [h ** m])]
+    return [res.ideal, ideal_sum(I, [h ** res.exponent])]
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +578,7 @@ def _gtz(
     else:
         h = I.ring.one
     if not h.is_constant():
-        res = saturate(I, h, "iterate")
-        m = res.exponent or 0
+        m = saturate(I, h).exponent
         if m > 0:
             remainder = ideal_sum(I, [h ** m])
             out.extend(

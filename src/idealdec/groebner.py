@@ -196,17 +196,6 @@ class GroebnerBasis:
             out.append(Polynomial(self.ring, coeff_terms))
         return tuple(out)
 
-    def primitive_parts(self) -> Tuple[Polynomial, ...]:
-        """Elements divided by their K[u]-content (a derived view only:
-        primitive parts need not lie in the ideal)."""
-        if self.localized_vars is None:
-            return self.elements
-        out = []
-        for g in self.elements:
-            cont = content_wrt(g, self.localized_vars)
-            out.append(normalize_assoc(exact_divide(g, cont)))
-        return tuple(out)
-
     # -- membership ----------------------------------------------------------
 
     def normal_form(self, f: Polynomial) -> Polynomial:

@@ -6,8 +6,8 @@ follow the standard eliminate-a-tag-variable constructions:
 
 * intersect(I, J):  eliminate t from t*I + (1-t)*J;
 * quotient(I, f):   generators of (I meet <f>) divided exactly by f;
-* saturate(I, h):   iterated quotients until stable (reports the exponent),
-  or the Rabinowitsch trick with an inverse variable (no exponent);
+* saturate(I, h):   eliminate w from I + <w*h - 1> (Rabinowitsch), then the
+  exponent: the least m with h^m (I : h^infinity) inside I, by normal forms;
 * eliminate(I, V):  block order with V in front;
 * contract(I, u):   chained saturations of I by the K[u]-leading
   coefficients of a minimal localized basis, smallest first -- this turns
@@ -19,7 +19,7 @@ follow the standard eliminate-a-tag-variable constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger
 from .orders import (
@@ -81,9 +81,6 @@ class Ideal:
             self._gb_cache[cache_key] = got
         return got
 
-    def reduced_gb(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-        return self.groebner(order)
-
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)
 
@@ -115,17 +112,29 @@ class Ideal:
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Outcome of saturate(I, h): the saturated ideal, the saturation
-    exponent (smallest m with I : h^m == I : h^infinity; None when the
-    inverse-variable strategy was used), and the strategy name."""
+    """Outcome of saturate(I, h): the saturated ideal I : h^infinity and the
+    saturation exponent, the smallest m with I : h^m == I : h^infinity."""
 
     ideal: Ideal
-    exponent: Optional[int]
-    strategy: str
+    exponent: int
 
 
-def _working(order: Optional[MonomialOrder]) -> MonomialOrder:
-    return order if order is not None else degrevlex_order()
+def _eliminate_tag(
+    ring: PolyRing,
+    name: str,
+    working_order: Optional[MonomialOrder],
+    build: Callable[[PolyRing, Polynomial], List[Polynomial]],
+) -> Ideal:
+    """Adjoin a tag variable in front of ``ring``, build generators with it,
+    and keep the basis elements free of the tag (an elimination order with
+    the tag first and the working order, degrevlex by default, behind)."""
+    big = extend_ring(ring, [fresh_name(ring, name)], front=True)
+    order = flatten_with_front(
+        working_order if working_order is not None else degrevlex_order(),
+        front=[0], total_nvars=big.nvars, shift=lambda i: i + 1,
+    )
+    G = buchberger(build(big, big.var(big.names[0])), order)
+    return Ideal(ring, [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0])
 
 
 def intersect(
@@ -141,18 +150,11 @@ def intersect(
         return Ideal(ring, J.generators)
     if J.is_trivial():
         return Ideal(ring, I.generators)
-    t_name = fresh_name(ring, "t")
-    big = extend_ring(ring, [t_name], front=True)
-    t = big.var(t_name)
-    order = flatten_with_front(
-        _working(working_order), front=[0], total_nvars=big.nvars,
-        shift=lambda i: i + 1,
+    return _eliminate_tag(
+        ring, "t", working_order,
+        lambda big, t: [t * inject(g, big, 1) for g in I.generators]
+        + [(big.one - t) * inject(g, big, 1) for g in J.generators],
     )
-    gens = [t * inject(g, big, 1) for g in I.generators]
-    gens += [(big.one - t) * inject(g, big, 1) for g in J.generators]
-    G = buchberger(gens, order)
-    picked = [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0]
-    return Ideal(ring, picked)
 
 
 def quotient(
@@ -172,54 +174,41 @@ def quotient(
 
 
 def saturate(
-    I: Ideal,
-    h: Polynomial,
-    strategy: str = "iterate",
-    working_order: Optional[MonomialOrder] = None,
+    I: Ideal, h: Polynomial, working_order: Optional[MonomialOrder] = None
 ) -> SaturationResult:
-    """The saturation I : h^infinity.
+    """The saturation S = I : h^infinity and its exponent.
 
-    strategy "iterate" repeats I : h until stable and reports the exponent;
-    strategy "extra_variable" eliminates w from I + <w*h - 1> (no exponent).
-    Results are cached on I.
+    S comes from one elimination of w from I + <w*h - 1>.  The exponent is
+    the least m with h^m * S inside I: the normal forms of S's generators
+    against I's degrevlex basis are multiplied by h and reduced again until
+    all vanish.  With exponent 0 the result has I's generators.  Results are
+    cached on I.
     """
     if h.ring != I.ring:
         raise RingError("polynomial from a different ring")
     if h.is_zero():
         raise IdealError("saturation by zero")
-    key = (h, strategy, working_order)
+    key = (h, working_order)
     got = I._sat_cache.get(key)
     if got is not None:
         return got
-    if h.is_constant() or I.is_zero():
-        result = SaturationResult(Ideal(I.ring, I.generators), 0, strategy)
-        I._sat_cache[key] = result
-        return result
-    if strategy == "iterate":
-        current = I
-        exponent = 0
-        while True:
-            nxt = quotient(current, h, working_order)
-            if nxt.equals(current):
-                break
-            current = nxt
-            exponent += 1
-        result = SaturationResult(current, exponent, strategy)
-    elif strategy == "extra_variable":
-        ring = I.ring
-        w_name = fresh_name(ring, "w")
-        big = extend_ring(ring, [w_name], front=True)
-        order = flatten_with_front(
-            _working(working_order), front=[0], total_nvars=big.nvars,
-            shift=lambda i: i + 1,
+    exponent = 0
+    if not (h.is_constant() or I.is_zero()):
+        S = _eliminate_tag(
+            I.ring, "w", working_order,
+            lambda big, w: [inject(g, big, 1) for g in I.generators]
+            + [w * inject(h, big, 1) - big.one],
         )
-        gens = [inject(g, big, 1) for g in I.generators]
-        gens.append(big.var(w_name) * inject(h, big, 1) - big.one)
-        G = buchberger(gens, order)
-        picked = [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0]
-        result = SaturationResult(Ideal(ring, picked), None, strategy)
-    else:
-        raise IdealError(f"unknown saturation strategy {strategy!r}")
+        G = I.groebner()
+        remainders = list(S.generators)
+        while True:
+            remainders = [r for r in map(G.normal_form, remainders) if not r.is_zero()]
+            if not remainders:
+                break
+            remainders = [h * r for r in remainders]
+            exponent += 1
+    # exponent 0: I is saturated; keep its generators but not its cached bases
+    result = SaturationResult(S if exponent else Ideal(I.ring, I.generators), exponent)
     I._sat_cache[key] = result
     return result
 
@@ -274,13 +263,13 @@ def chained_saturation(
     I: Ideal,
     cs: Sequence[Polynomial],
     working_order: Optional[MonomialOrder] = None,
-) -> Tuple[Ideal, List[Tuple[Polynomial, Optional[int]]]]:
+) -> Tuple[Ideal, List[Tuple[Polynomial, int]]]:
     """Saturate I by each c in turn, returning the result and the per-step
     (c, exponent) trail."""
     current = I
-    steps: List[Tuple[Polynomial, Optional[int]]] = []
+    steps: List[Tuple[Polynomial, int]] = []
     for c in cs:
-        res = saturate(current, c, "iterate", working_order)
+        res = saturate(current, c, working_order)
         steps.append((c, res.exponent))
         current = res.ideal
     return current, steps
@@ -301,7 +290,7 @@ def contract(
 
 def contract_with_trail(
     I: Ideal, u: Iterable[int], working_order: Optional[MonomialOrder] = None
-) -> Tuple[Ideal, List[Tuple[Polynomial, Optional[int]]]]:
+) -> Tuple[Ideal, List[Tuple[Polynomial, int]]]:
     """contract(), but also return the (coefficient, exponent) trail of the
     chained saturation that produced it."""
     u = frozenset(u)

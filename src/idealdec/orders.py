@@ -92,14 +92,6 @@ class MonomialOrder:
     def greater(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.key(a) > self.key(b)
 
-    def describe(self) -> str:
-        if self.kind in _SIMPLE_KINDS:
-            return self.kind
-        parts = []
-        for idxs, inner in self.blocks:
-            parts.append(f"[{','.join(map(str, idxs))}:{inner}]")
-        return "block(" + " > ".join(parts) + ")"
-
 
 def lex_order() -> MonomialOrder:
     return MonomialOrder(LEX)

@@ -345,11 +345,17 @@ def test_criterion_09_saturation_strategy_agreement():
         ring = PolyRing(names, QQ)
         I = Ideal.parse(ring, gens)
         h = ring.parse(h_text)
-        via_iterate = saturate(I, h, strategy="iterate")
-        via_extra = saturate(I, h, strategy="extra_variable")
-        assert via_iterate.ideal.equals(via_extra.ideal), (gens, h_text)
-        m = via_iterate.exponent
-        assert m is not None
+        got = saturate(I, h)
+        # reference: repeated I : h until stable, counting the steps
+        reference, steps = I, 0
+        while True:
+            nxt = quotient(reference, h)
+            if nxt.equals(reference):
+                break
+            reference, steps = nxt, steps + 1
+        assert got.ideal.equals(reference), (gens, h_text)
+        m = got.exponent
+        assert m == steps, (gens, h_text, m, steps)
         lhs = quotient(I, h**m) if m else I
         rhs = quotient(I, h ** (m + 1))
         assert lhs.equals(rhs), (gens, h_text, m)

@@ -1,6 +1,8 @@
 """Ideal arithmetic: quotient, saturation, intersection, elimination,
 contraction, dimension."""
 
+import time
+
 import pytest
 
 from idealdec.ideals import (
@@ -52,9 +54,9 @@ def test_quotient(rxy):
         quotient(I, rxy.zero)
 
 
-def test_saturate_iterate_reports_exponent(rxy):
+def test_saturate_reports_exponent(rxy):
     I = _ideal(rxy, "x^2*y")
-    got = saturate(I, rxy.parse("x"), "iterate")
+    got = saturate(I, rxy.parse("x"))
     assert got.ideal.equals(_ideal(rxy, "y"))
     assert got.exponent == 2
     # stability: I : h^m == I : h^(m+1)
@@ -62,20 +64,54 @@ def test_saturate_iterate_reports_exponent(rxy):
     assert again.equals(got.ideal)
 
 
-def test_saturate_extra_variable_matches_iterate(rxy):
+def _quotient_chain(I, h):
+    """I : h^infinity by repeated I : h until stable, with the step count."""
+    current, steps = I, 0
+    while True:
+        nxt = quotient(current, h)
+        if nxt.equals(current):
+            return current, steps
+        current, steps = nxt, steps + 1
+
+
+def test_saturate_matches_quotient_chain(rxy):
     I = _ideal(rxy, "x^2*y", "x*y^3 - x^2")
     h = rxy.parse("x")
-    a = saturate(I, h, "iterate")
-    b = saturate(I, h, "extra_variable")
-    assert a.ideal.equals(b.ideal)
-    assert b.exponent is None
-    with pytest.raises(IdealError):
-        saturate(I, h, "newton")
+    got = saturate(I, h)
+    reference, steps = _quotient_chain(I, h)
+    assert got.ideal.equals(reference)
+    assert got.exponent == steps == 3
+
+
+def test_saturate_heavy_tailed_case(rxyz):
+    # a saturation that took about 8 s when computed as a chain of quotients
+    I = _ideal(
+        rxyz,
+        "-x^2*y^2*z + 2*x*y*z^2 - 2*z^2",
+        "-x^2*y*z^2 + 2*x*y^2*z - 2*y^2",
+    )
+    h = rxyz.parse("-2*x^2*y^2*z - 2*x^2*z + 2*x*y")
+    t0 = time.perf_counter()
+    got = saturate(I, h)
+    elapsed = time.perf_counter() - t0
+    assert got.exponent == 3
+    # the reduced degrevlex basis of I : h^infinity, checked against sympy
+    expected = [
+        "x^4*y*z - 4*x^2*y*z + 4*x*y + 4*x*z - 4",
+        "y^4*z^2 - 1/2*y^5 - 1/2*y^4*z - 1/2*y^3*z^2 - y^2*z^4"
+        " + 1/2*y^2*z^3 + 1/2*y*z^4 + 1/2*z^5",
+        "x*y*z^3 - x*z^4 + y^3 - 2*y^2*z^2 + 2*y*z^3 - z^3",
+        "x^2*y^2 - 2*x*y*z + 2*z",
+        "x*y^3 - x*z^3 - 2*y^2*z + 2*y*z^2",
+        "x^2*z^2 - 2*x*y*z + 2*y",
+    ]
+    assert set(got.ideal.canonical_generators()) == {rxyz.parse(t) for t in expected}
+    assert elapsed < 5.0, f"saturation took {elapsed:.1f}s"
 
 
 def test_saturation_by_constant_is_identity(rxy):
     I = _ideal(rxy, "x^2*y")
-    got = saturate(I, rxy.parse("5"), "iterate")
+    got = saturate(I, rxy.parse("5"))
     assert got.ideal.equals(I)
     assert got.exponent == 0
 
