@@ -19,6 +19,11 @@ Decisions that depend on polynomial factorization go through the bounded
 certificate toolkit in factorize; whenever that toolkit cannot decide, the
 affected component or verdict is reported as UNKNOWN with the unresolved
 obligation attached, never silently guessed.
+
+The toolkit, square roots and the random linear forms all assume
+characteristic zero, so every entry point above except
+``minimal_polynomial`` raises ``DecompositionError`` for a ring that is not
+over Q.  Groebner bases over GF(p) remain available in ``groebner``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .domains import QQ
 from .factorize import FactorOutcome, FactorPart, split_minimal_polynomial
 from .groebner import NotZeroDimensional
 from .ideals import (
@@ -56,6 +62,13 @@ UNKNOWN = "UNKNOWN"
 
 class DecompositionError(Exception):
     pass
+
+
+def _require_rationals(I: Ideal, what: str) -> None:
+    if I.ring.domain != QQ:
+        raise DecompositionError(
+            f"{what} is implemented over Q only, not over {I.ring.domain}"
+        )
 
 
 class DecompositionIncomplete(DecompositionError):
@@ -275,6 +288,7 @@ def zero_dim_decompose(
     cannot be split is certified primary through its radical's maximality
     certificate, or reported uncertified with the unresolved obligation.
     """
+    _require_rationals(I, "zero-dimensional decomposition")
     u = tuple(sorted(set(u)))
     lv = u or None
     if _depth > 64:
@@ -388,6 +402,7 @@ def is_maximal_zero_dim(
     irreducibility toolkit cannot decide, the result is UNKNOWN with the
     open obligation.
     """
+    _require_rationals(I, "the maximality certificate")
     u = tuple(sorted(set(u)))
     lv = u or None
     gb = I.groebner(degrevlex_order(), localized_vars=lv)
@@ -530,6 +545,7 @@ def gtz_decompose(
     exponent) is decomposed recursively.  Components are deduplicated and
     pruned to an irredundant intersection.
     """
+    _require_rationals(I, "primary decomposition")
     comps = _gtz(I, seed, budget, linear_budget, 0, max_depth)
     comps = _dedupe(comps)
     if not I.is_zero() and not I.is_trivial():
@@ -652,6 +668,7 @@ def primality_check(
     the ranked choice may enumerate.  ``max_workers`` > 1 runs the
     per-orbit quotient checks on a thread pool (the outcome is unchanged).
     """
+    _require_rationals(I, "the primality check")
     details: List[str] = []
     if I.is_zero():
         return PrimalityVerdict(PRIME, (), ("zero ideal",))

@@ -32,7 +32,7 @@ from math import gcd as int_gcd
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .domains import is_prime
+from .domains import QQ, is_prime
 from .polygcd import (
     normalize_assoc,
     poly_sqrt,
@@ -624,6 +624,11 @@ def split_minimal_polynomial(
     labelled irreducible only when one of the sound certificates applies.
     The outcome is ``complete`` when every part is certified irreducible.
     """
+    if m.ring.domain != QQ:
+        # the certificates and square roots below are sound over Q only
+        raise ValueError(
+            f"splitting is implemented over Q only, not over {m.ring.domain}"
+        )
     base = tuple(sorted(set(base)))
     if not (m.support() <= set(base) | {v}):
         raise ValueError("polynomial involves variables outside base and x_v")

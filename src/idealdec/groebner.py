@@ -11,11 +11,20 @@ exactly the c_i used by contraction and the primality certificate).
 Selection strategy is normal (smallest lcm first); the coprimality and
 chain criteria prune S-pairs.  Reduced bases over a field are unique for a
 fixed order, which the test-suite exploits heavily.
+
+Leading data is computed once per basis element: ``buchberger`` keeps, next
+to each monic element, an entry (leading exponents, tail terms) that
+S-polynomials, reduction and interreduction all read, and a basis keeps the
+entries of its elements for ``normal_form``.  ``_reduce_full`` pops terms
+greatest first from a heap keyed by the order's compiled ``lead_key``; each
+monomial is pushed once, when it enters the work dict.  Over GF(p) the
+same code runs on ``ModInt`` coefficients.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .orders import BLOCK, MonomialOrder, OrderError, block_order, degrevlex_order
@@ -34,71 +43,89 @@ class NotZeroDimensional(GroebnerError):
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def _lcm_exps(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """The S-polynomial of f and g with respect to ``order``."""
-    cf, ef = f.leading_data(order)
-    cg, eg = g.leading_data(order)
+# A basis entry is (lead_exps, tail): the leading exponents of a nonzero
+# polynomial and its other terms divided by the leading coefficient, as a
+# list of (exps, coeff).  Entries are built once per element and order.
+Entry = Tuple[Exponents, List[Tuple[Exponents, object]]]
+
+
+def _entry(p: Polynomial, order: MonomialOrder) -> Entry:
+    lc, lead = p.leading_data(order)
+    tail = [(e, c) for e, c in p.terms.items() if e != lead]
+    if lc != p.ring.domain.one:
+        tail = [(e, c / lc) for e, c in tail]
+    return lead, tail
+
+
+def spolynomial(
+    f: Polynomial,
+    g: Polynomial,
+    order: MonomialOrder,
+    entries: Optional[Tuple[Entry, Entry]] = None,
+) -> Polynomial:
+    """The S-polynomial of f and g with respect to ``order``.
+
+    ``entries`` are the cached basis entries of f and g, when the caller
+    holds them; otherwise they are computed here.
+    """
+    if entries is None:
+        entries = (_entry(f, order), _entry(g, order))
+    (ef, tf), (eg, tg) = entries
     lcm = _lcm_exps(ef, eg)
-    mf = tuple(l - e for l, e in zip(lcm, ef))
-    mg = tuple(l - e for l, e in zip(lcm, eg))
-    one = f.ring.domain.one
-    return f.multiply_monomial(mf, one / cf) - g.multiply_monomial(mg, one / cg)
+
+    def shifted_tail(lead, tail):
+        m = tuple(map(sub, lcm, lead))
+        return Polynomial(f.ring, {tuple(map(add, e, m)): c for e, c in tail})
+
+    # the monic leading terms cancel, so only the tails are shifted
+    return shifted_tail(ef, tf) - shifted_tail(eg, tg)
 
 
 def _reduce_full(
     terms: Dict[Exponents, object],
-    basis: Sequence[Tuple[Exponents, object, List[Tuple[Exponents, object]]]],
-    key,
+    basis: Sequence[Entry],
+    order: MonomialOrder,
 ) -> Dict[Exponents, object]:
-    """Full normal form of a term dict against (lead_exps, lead_coeff, terms).
+    """Full normal form of a term dict against basis entries.
 
-    Terms whose monomial is irreducible are retired to the remainder; the
-    reducible leading term is rewritten until nothing reducible remains.
+    Terms are popped greatest first from a heap of ``order.lead_key``
+    values.  A monomial is pushed once, when it enters the work dict; a
+    term that cancels stays there with coefficient zero until popped, so
+    the heap never holds a stale key.  Irreducible terms are retired to the
+    remainder, which is therefore built in descending order.
     """
+    key = order.lead_key
     work = dict(terms)
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
     remainder: Dict[Exponents, object] = {}
-    while work:
-        e = max(work, key=key)
+    while heap:
+        e = heapq.heappop(heap)[1]
         c = work.pop(e)
-        for le, lc, gterms in basis:
-            if _divides(le, e):
-                mult = c / lc
-                shift = tuple(a - b for a, b in zip(e, le))
-                for ge, gc in gterms:
-                    if ge == le:
-                        continue
-                    ne = tuple(a + b for a, b in zip(ge, shift))
+        if not c:
+            continue
+        for lead, tail in basis:
+            if all(map(le, lead, e)):
+                shift = tuple(map(sub, e, lead))
+                for ge, gc in tail:
+                    ne = tuple(map(add, ge, shift))
                     s = work.get(ne)
                     if s is None:
-                        work[ne] = -(mult * gc)
+                        work[ne] = -(c * gc)
+                        heapq.heappush(heap, (key(ne), ne))
                     else:
-                        s = s - mult * gc
-                        if s:
-                            work[ne] = s
-                        else:
-                            del work[ne]
+                        work[ne] = s - c * gc
                 break
         else:
             remainder[e] = c
     return remainder
-
-
-def _basis_data(polys: Sequence[Polynomial], order: MonomialOrder):
-    data = []
-    for p in polys:
-        lc, le = p.leading_data(order)
-        data.append((le, lc, list(p.terms.items())))
-    return data
 
 
 class GroebnerBasis:
@@ -205,8 +232,9 @@ class GroebnerBasis:
             return f
         if self.localized_vars is None:
             if self._nf_basis is None:
-                self._nf_basis = _basis_data(self.elements, self.computation_order)
-            terms = _reduce_full(f.terms, self._nf_basis, self.computation_order.key)
+                order = self.computation_order
+                self._nf_basis = [_entry(g, order) for g in self.elements]
+            terms = _reduce_full(f.terms, self._nf_basis, self.computation_order)
             return Polynomial(self.ring, terms)
         return self._localized_normal_form(f)
 
@@ -329,25 +357,17 @@ def _staircase_count(lead_projs: List[Exponents], nrel: int) -> int:
     return rec(0, list(range(len(minimal))), [])
 
 
-def _interreduce(
-    polys: List[Polynomial], order: MonomialOrder
-) -> List[Polynomial]:
-    """Tail-reduce a minimal basis to the reduced basis (elements monic)."""
-    key = order.key
-    polys = sorted(polys, key=lambda p: key(p.leading_data(order)[1]))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = _basis_data(polys[:i] + polys[i + 1:], order)
-            r = Polynomial(polys[i].ring, _reduce_full(polys[i].terms, others, key))
-            lc, _ = r.leading_data(order)
-            if lc != r.ring.domain.one:
-                r = r * (r.ring.domain.one / lc)
-            if r != polys[i]:
-                polys[i] = r
-                changed = True
-    return polys
+def _interreduce(entries: List[Entry], order: MonomialOrder) -> None:
+    """Tail-reduce the entries of a minimal basis in place, which makes it
+    the reduced basis.
+
+    Leading monomials of a minimal basis divide one another nowhere and
+    never change here, and no tail term is divisible by its own leading
+    monomial.  So one pass, each tail reduced against all entries, leaves
+    no tail term divisible by any leading monomial.
+    """
+    for i, (lead, tail) in enumerate(entries):
+        entries[i] = (lead, list(_reduce_full(dict(tail), entries, order).items()))
 
 
 def buchberger(
@@ -393,23 +413,26 @@ def buchberger(
     key = comp_order.key
     one = ring.domain.one
     basis: List[Polynomial] = []
+    entries: List[Entry] = []
     lead: List[Exponents] = []
     heap: List[tuple] = []
     done = set()
 
-    def add_poly(p: Polynomial) -> None:
-        lc, le = p.leading_data(comp_order)
+    def add_poly(terms: Dict[Exponents, object], le: Exponents) -> None:
+        lc = terms[le]
         if lc != one:
-            p = p * (one / lc)
+            terms = {e: c / lc for e, c in terms.items()}
         j = len(basis)
-        basis.append(p)
+        basis.append(Polynomial(ring, terms))
+        entries.append((le, [t for t in terms.items() if t[0] != le]))
         lead.append(le)
         for i in range(j):
             lcm = _lcm_exps(lead[i], le)
             heapq.heappush(heap, (key(lcm), i, j, lcm))
 
-    for g in sorted(work, key=lambda p: key(p.leading_data(comp_order)[1])):
-        add_poly(g)
+    leads = [g.leading_data(comp_order)[1] for g in work]
+    for i in sorted(range(len(work)), key=lambda i: key(leads[i])):
+        add_poly(work[i].terms, leads[i])
 
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
@@ -430,12 +453,13 @@ def buchberger(
                     break
         if skip:
             continue
-        s = spolynomial(basis[i], basis[j], comp_order)
+        s = spolynomial(basis[i], basis[j], comp_order, (entries[i], entries[j]))
         if s.is_zero():
             continue
-        r = _reduce_full(s.terms, _basis_data(basis, comp_order), key)
+        r = _reduce_full(s.terms, entries, comp_order)
         if r:
-            add_poly(Polynomial(ring, r))
+            # the remainder is built greatest term first
+            add_poly(r, next(iter(r)))
 
     # minimalise: drop elements whose lead is divisible by another lead
     idxs = sorted(range(len(basis)), key=lambda i: key(lead[i]))
@@ -443,16 +467,18 @@ def buchberger(
     for i in idxs:
         if not any(_divides(lead[k], lead[i]) for k in kept):
             kept.append(i)
-    minimal = [basis[i] for i in kept]
-    reduced = _interreduce(minimal, comp_order)
+    reduced_entries = [entries[i] for i in kept]
+    _interreduce(reduced_entries, comp_order)
+    reduced = [Polynomial(ring, dict([(le, one), *tail]))
+               for le, tail in reduced_entries]
 
     if loc is None:
         return GroebnerBasis(ring, order, comp_order, tuple(reduced), None)
 
     # localized minimalisation: keep elements whose leading monomial
     # restricted to the rest block is not divisible by a kept one.
-    inner = [(tuple(e[i] for i in rest), e, g) for g in reduced
-             for e in [g.leading_data(comp_order)[1]]]
+    inner = [(tuple(e[i] for i in rest), e, g)
+             for g, (e, _) in zip(reduced, reduced_entries)]
     inner.sort(key=lambda t: (key(_embed(t[0], rest, ring.nvars)), key(t[1])))
     kept_projs: List[Exponents] = []
     chosen: List[Polynomial] = []
@@ -479,13 +505,12 @@ def is_groebner_basis(
     elems = [g for g in elements if not g.is_zero()]
     if not elems:
         return True
-    data = _basis_data(elems, order)
-    key = order.key
+    entries = [_entry(g, order) for g in elems]
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            s = spolynomial(elems[i], elems[j], order)
+            s = spolynomial(elems[i], elems[j], order, (entries[i], entries[j]))
             if s.is_zero():
                 continue
-            if _reduce_full(s.terms, data, key):
+            if _reduce_full(s.terms, entries, order):
                 return False
     return True

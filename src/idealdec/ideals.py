@@ -55,8 +55,10 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb_cache: Dict[tuple, GroebnerBasis] = {}
-        self._sat_cache: Dict[tuple, "SaturationResult"] = {}
+        # created on first use: most ideals (components, saturation results)
+        # are built, read and kept without ever filling a cache
+        self._gb_cache: Optional[Dict[tuple, GroebnerBasis]] = None
+        self._sat_cache: Optional[Dict[tuple, "SaturationResult"]] = None
 
     @classmethod
     def parse(cls, ring: PolyRing, texts: Iterable[str]) -> "Ideal":
@@ -71,6 +73,8 @@ class Ideal:
             order = degrevlex_order()
         loc = frozenset(localized_vars) if localized_vars is not None else None
         cache_key = (order, loc)
+        if self._gb_cache is None:
+            self._gb_cache = {}
         got = self._gb_cache.get(cache_key)
         if got is None:
             if not self.generators:
@@ -110,7 +114,7 @@ class Ideal:
         return f"Ideal({self.ring!r}, {len(self.generators)} generators)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaturationResult:
     """Outcome of saturate(I, h): the saturated ideal I : h^infinity and the
     saturation exponent, the smallest m with I : h^m == I : h^infinity."""
@@ -189,6 +193,8 @@ def saturate(
     if h.is_zero():
         raise IdealError("saturation by zero")
     key = (h, working_order)
+    if I._sat_cache is None:
+        I._sat_cache = {}
     got = I._sat_cache.get(key)
     if got is not None:
         return got

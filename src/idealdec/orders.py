@@ -1,15 +1,22 @@
 """Monomial orders as sortable keys.
 
-An order maps an exponent tuple to a key; monomial comparison is tuple
-comparison of keys.  Three kinds are provided:
+An order maps an exponent tuple to a flat tuple key; monomial comparison is
+tuple comparison of keys.  Each order compiles once, at construction, its
+``lead_key``, whose *smallest* value is the *greatest* monomial, so ``min``
+and ``heapq`` pop leading terms directly.  Three kinds are provided:
 
-* ``lex``       -- key is the exponent tuple itself;
-* ``degrevlex`` -- key is (total degree, reversed negated exponents), so
-  ties in degree are broken by the *smallest* exponent on the *last*
-  variable winning;
+* ``lex``       -- ``tuple(map(neg, e))``: exponents compared left to right;
+* ``degrevlex`` -- ``tuple(accumulate(map(neg, e)))[::-1]``: the negated
+  total degree, then the negated degrees with the last variables dropped one
+  by one, so ties in degree are broken by the *smallest* exponent on the
+  *last* variable winning;
 * ``block``     -- an ordered list of variable blocks, each carrying its own
-  lex/degrevlex inner order; keys are compared block by block, which gives
-  the elimination property for the leading blocks.
+  lex/degrevlex inner order; the inner keys are concatenated in block order,
+  so keys compare block by block, which gives the elimination property for
+  the leading blocks.
+
+``key`` is the negated ``lead_key``: greater key, greater monomial.  The
+reducers in ``groebner`` compare monomials with ``lead_key``.
 
 Orders are immutable and hashable so they can serve as cache keys.
 """
@@ -17,7 +24,10 @@ Orders are immutable and hashable so they can serve as cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import accumulate
+from operator import neg
+from typing import Callable, Iterable, Sequence
 
 LEX = "lex"
 DEGREVLEX = "degrevlex"
@@ -30,11 +40,22 @@ class OrderError(ValueError):
     """Raised for malformed order specifications."""
 
 
-def _simple_key(kind: str, exps: Sequence[int]):
-    if kind == LEX:
-        return tuple(exps)
-    # degrevlex
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+def _lex_lead_key(exps: Sequence[int]) -> tuple:
+    return tuple(map(neg, exps))
+
+
+def _degrevlex_lead_key(exps: Sequence[int]) -> tuple:
+    return tuple(accumulate(map(neg, exps)))[::-1]
+
+
+def _block_lead_key(parts, exps: Sequence[int]) -> tuple:
+    out = []
+    for idxs, inner_lex in parts:
+        if inner_lex:
+            out += [-exps[i] for i in idxs]
+        else:
+            out += tuple(accumulate([-exps[i] for i in idxs]))[::-1]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -48,11 +69,16 @@ class MonomialOrder:
 
     kind: str
     blocks: tuple = field(default=())
+    lead_key: Callable[[Sequence[int]], tuple] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind in _SIMPLE_KINDS:
             if self.blocks:
                 raise OrderError(f"{self.kind} order takes no blocks")
+            lead_key = _lex_lead_key if self.kind == LEX else _degrevlex_lead_key
+            object.__setattr__(self, "lead_key", lead_key)
             return
         if self.kind != BLOCK:
             raise OrderError(f"unknown order kind {self.kind!r}")
@@ -68,6 +94,11 @@ class MonomialOrder:
                 if i in seen:
                     raise OrderError(f"variable {i} appears in two blocks")
                 seen.add(i)
+        # (indices, inner order is lex) per block, with the inner keys
+        # inlined because block keys are hot in eliminations; a partial of a
+        # module-level function keeps the order picklable
+        parts = tuple((idxs, inner == LEX) for idxs, inner in self.blocks)
+        object.__setattr__(self, "lead_key", partial(_block_lead_key, parts))
 
     def validate(self, nvars: int) -> None:
         """Check the order covers exactly the variables of an nvars ring."""
@@ -79,15 +110,10 @@ class MonomialOrder:
                 f"block order covers {sorted(covered)}, ring has {nvars} variables"
             )
 
-    def key(self, exps: Sequence[int]):
-        """Sortable key; greater key means greater monomial."""
-        if self.kind == LEX:
-            return tuple(exps)
-        if self.kind == DEGREVLEX:
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        return tuple(
-            _simple_key(inner, [exps[i] for i in idxs]) for idxs, inner in self.blocks
-        )
+    def key(self, exps: Sequence[int]) -> tuple:
+        """Sortable key; greater key means greater monomial (the negated
+        ``lead_key``)."""
+        return tuple(map(neg, self.lead_key(exps)))
 
     def greater(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.key(a) > self.key(b)

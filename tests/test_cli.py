@@ -207,6 +207,17 @@ def test_decompose_bad_symmetry_file(capsys, gens_file, tmp_path):
     assert "line 1" in err
 
 
+def test_decompose_and_primality_refuse_prime_fields(capsys, gens_file):
+    path = gens_file("ring GF(7)[x,y]\nx^2 - 2*y^2\n")
+    for command in ("decompose", "primality"):
+        code, out, err = run(capsys, command, path)
+        assert code == EXIT_ERROR
+        assert "over Q only, not over GF(7)" in err
+    code, out, err = run(capsys, "groebner", path)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "x^2 + 5*y^2"
+
+
 # -- primality ----------------------------------------------------------------
 
 

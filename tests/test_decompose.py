@@ -6,6 +6,7 @@ import pytest
 
 from idealdec.decompose import (
     MAXIMAL,
+    DecompositionError,
     NOT_MAXIMAL,
     NOT_PRIME,
     PRIME,
@@ -19,8 +20,10 @@ from idealdec.decompose import (
     stabilizes,
     zero_dim_decompose,
 )
-from idealdec.groebner import NotZeroDimensional
+from idealdec.domains import PrimeField
+from idealdec.groebner import NotZeroDimensional, buchberger
 from idealdec.ideals import Ideal, IdealError, intersect, quotient, saturate
+from idealdec.rings import PolyRing
 from idealdec.symmetry import SymmetryAction
 
 
@@ -288,3 +291,44 @@ def test_saturation_commutes_with_automorphism(rxyzw):
     lhs = apply_automorphism(sigma, saturate(P, c).ideal)
     rhs = saturate(apply_automorphism(sigma, P), sigma(c)).ideal
     assert lhs.equals(rhs)
+
+
+# -- prime fields: decomposition and primality are over Q only ----------------
+
+
+def _gf_ideal(p, names, *texts):
+    return _ideal(PolyRing(tuple(names), PrimeField(p)), *texts)
+
+
+def test_primality_refuses_gf7_square_discriminant():
+    # 2 = 3^2 in GF(7), so <x^2 - 2*y^2> = <(x - 3y)(x + 3y)> is not prime;
+    # the quadratic-discriminant certificate used to call it PRIME
+    with pytest.raises(DecompositionError, match="over Q only, not over GF\\(7\\)"):
+        primality_check(_gf_ideal(7, "xy", "x^2 - 2*y^2"))
+
+
+def test_decompose_refuses_gf7_quadratic():
+    # used to raise AttributeError in the rational factorizer
+    I = _gf_ideal(7, "x", "x^2 - 2")
+    for entry in (gtz_decompose, zero_dim_decompose, is_maximal_zero_dim):
+        with pytest.raises(DecompositionError, match="over Q only"):
+            entry(I)
+
+
+def test_decompose_refuses_gf7_inseparable():
+    # x^7 - y has zero derivative in x; used to raise IndexError
+    with pytest.raises(DecompositionError, match="over Q only"):
+        gtz_decompose(_gf_ideal(7, "xy", "x^7 - y"))
+
+
+def test_decompose_refuses_gf5_hyperbola():
+    # used to raise IdealError("zero linear form")
+    with pytest.raises(DecompositionError, match="over Q only, not over GF\\(5\\)"):
+        gtz_decompose(_gf_ideal(5, "xy", "x^2 - y^2 - 1"))
+
+
+def test_groebner_bases_over_prime_fields_still_work():
+    I = _gf_ideal(7, "xy", "x^2 - 2*y^2", "x*y - 1")
+    G = buchberger(I.generators)
+    assert G.contains(I.generators[0] * I.generators[1])
+    assert not G.is_trivial()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealdec.domains import QQ
+from idealdec.domains import QQ, PrimeField
 from idealdec.factorize import (
     factor_rational_univariate,
     is_irreducible_over_q,
@@ -88,6 +88,15 @@ def test_split_certifies_quadratic_by_discriminant():
     part = out.parts[0]
     assert part.irreducible
     assert part.certificate == "quadratic-discriminant"
+
+
+def test_split_refuses_prime_fields():
+    # over GF(7), x^2 - 2*y^2 = (x - 3y)(x + 3y) used to be certified
+    # irreducible by its discriminant, and x^2 - 2 raised AttributeError
+    ring = PolyRing(("x", "y"), PrimeField(7))
+    for text in ("x^2 - 2*y^2", "x^2 - 2", "x^7 - y"):
+        with pytest.raises(ValueError, match="over Q only, not over GF\\(7\\)"):
+            split_minimal_polynomial(ring.parse(text), 0, base=(1,))
 
 
 def test_split_certifies_eisenstein_over_function_field():

@@ -1,0 +1,120 @@
+"""Property tests of the Groebner core against sympy.
+
+Random ideals of 2-3 polynomials in Q[x,y,z] and GF(7)[x,y,z]: the reduced
+basis under lex and degrevlex must equal sympy's made monic, and normal
+forms must equal the remainder of ``sympy.reduced``.  In the explicit
+normal-form examples a term cancels during reduction and is created again
+before it is popped, which is the path of the reducer's lazy deletion.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from idealdec.domains import QQ, PrimeField
+from idealdec.groebner import buchberger
+from idealdec.orders import degrevlex_order, lex_order
+from idealdec.rings import PolyRing
+
+sympy = pytest.importorskip("sympy")
+
+X, Y, Z = sympy.symbols("x y z")
+ORDERS = {"lex": lex_order(), "grevlex": degrevlex_order()}
+FIELDS = {None: QQ, 7: PrimeField(7)}
+
+_coeffs = st.integers(-3, 3).filter(bool)
+
+
+def _terms(max_degree, max_terms):
+    monomials = [(a, b, c) for a in range(max_degree + 1)
+                 for b in range(max_degree + 1 - a)
+                 for c in range(max_degree + 1 - a - b)]
+    return st.dictionaries(st.sampled_from(monomials), _coeffs,
+                           min_size=1, max_size=max_terms)
+
+
+_gens = st.lists(_terms(2, 4), min_size=2, max_size=3)
+_target = _terms(4, 5)
+_order = st.sampled_from(sorted(ORDERS))
+_modulus = st.sampled_from([None, 7])
+_settings = settings(max_examples=80, deadline=None, derandomize=True,
+                     database=None)
+
+# lex, Q: y^3*z^2 cancels and comes back twice while -x^2*z - x*y - x
+# reduces against the basis of <x*y - 3*x - y^2, -3*x^2 - z>
+_Q_RECREATE = (
+    [{(1, 1, 0): 1, (1, 0, 0): -3, (0, 2, 0): -1},
+     {(2, 0, 0): -3, (0, 0, 1): -1}],
+    {(2, 0, 1): -1, (1, 1, 0): -1, (1, 0, 0): -1},
+)
+# lex, GF(7): z cancels and comes back while x^2*y + 6*y*z + 2*z reduces
+# against the basis of <2*x*y + 2*x + 4*y + z, 3*x^2 + 6*x*z + 2*y^2 + y>
+_GF7_RECREATE = (
+    [{(1, 1, 0): 2, (1, 0, 0): 2, (0, 1, 0): 4, (0, 0, 1): 1},
+     {(2, 0, 0): 3, (1, 0, 1): 6, (0, 2, 0): 2, (0, 1, 0): 1}],
+    {(2, 1, 0): 1, (0, 1, 1): 6, (0, 0, 1): 2},
+)
+
+
+def _ring(modulus):
+    return PolyRing(("x", "y", "z"), FIELDS[modulus])
+
+
+def _to_sympy(terms):
+    return sum(c * X**a * Y**b * Z**e for (a, b, e), c in terms.items())
+
+
+def _from_sympy(ring, expr):
+    """sympy prints GF(p) coefficients in symmetric form; coerce maps them
+    back into [0, p)."""
+    if expr == 0:
+        return ring.zero
+    return ring.poly({
+        tuple(int(e) for e in exps): Fraction(int(c.p), int(c.q))
+        for exps, c in sympy.Poly(expr, X, Y, Z).terms()
+    })
+
+
+def _monic(f, order):
+    lc, _ = f.leading_data(order)
+    return f * (f.ring.domain.one / lc)
+
+
+def _sympy_options(order_name, modulus):
+    options = {"order": order_name}
+    if modulus is not None:
+        options["modulus"] = modulus
+    return options
+
+
+@_settings
+@given(gens=_gens, order_name=_order, modulus=_modulus)
+@example(gens=_Q_RECREATE[0], order_name="lex", modulus=None)
+@example(gens=_GF7_RECREATE[0], order_name="lex", modulus=7)
+def test_reduced_basis_matches_sympy(gens, order_name, modulus):
+    ring = _ring(modulus)
+    order = ORDERS[order_name]
+    G = buchberger([ring.poly(t) for t in gens], order)
+    ref = sympy.groebner([_to_sympy(t) for t in gens], X, Y, Z,
+                         **_sympy_options(order_name, modulus))
+    theirs = [_monic(_from_sympy(ring, e), order) for e in ref.exprs]
+    assert sorted(map(str, G.elements)) == sorted(map(str, theirs))
+
+
+@_settings
+@given(gens=_gens, target=_target, order_name=_order, modulus=_modulus)
+@example(gens=_Q_RECREATE[0], target=_Q_RECREATE[1], order_name="lex",
+         modulus=None)
+@example(gens=_GF7_RECREATE[0], target=_GF7_RECREATE[1], order_name="lex",
+         modulus=7)
+def test_normal_form_matches_sympy_remainder(gens, target, order_name, modulus):
+    ring = _ring(modulus)
+    order = ORDERS[order_name]
+    G = buchberger([ring.poly(t) for t in gens], order)
+    options = _sympy_options(order_name, modulus)
+    ref = sympy.groebner([_to_sympy(t) for t in gens], X, Y, Z, **options)
+    _, remainder = sympy.reduced(_to_sympy(target), list(ref.exprs), X, Y, Z,
+                                 **options)
+    assert G.normal_form(ring.poly(target)) == _from_sympy(ring, remainder)

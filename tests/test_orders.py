@@ -1,6 +1,10 @@
 """Monomial orders: lex, degrevlex, block, and the CLI order parser."""
 
+import pickle
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idealdec.orders import (
     OrderError,
@@ -48,6 +52,51 @@ def test_key_orders_like_greater():
     by_key = sorted(monomials, key=drl.key)
     for a, b in zip(by_key, by_key[1:]):
         assert drl.greater(b, a)
+
+
+_exps = st.tuples(*[st.integers(0, 3)] * 5)
+_THREE_BLOCKS_SPEC = [((3,), "lex"), ((0, 4), "degrevlex"), ((2, 1), "lex")]
+_THREE_BLOCKS = block_order(_THREE_BLOCKS_SPEC)
+
+
+def _textbook_greater(blocks, a, b):
+    """a > b by the definitions, block by block: lex -- the leftmost
+    differing exponent is larger in a; degrevlex -- a has larger degree, or
+    equal degree and the rightmost differing exponent is smaller in a."""
+    for idxs, inner in blocks:
+        ra, rb = [a[i] for i in idxs], [b[i] for i in idxs]
+        diff = [x - y for x, y in zip(ra, rb) if x != y]
+        if not diff:
+            continue
+        if inner == "lex":
+            return diff[0] > 0
+        if sum(ra) != sum(rb):
+            return sum(ra) > sum(rb)
+        return diff[-1] < 0
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_exps, b=_exps)
+@example(a=(1, 2, 0, 0, 1), b=(1, 2, 0, 0, 1))
+@example(a=(2, 0, 1, 0, 0), b=(1, 2, 0, 0, 0))  # equal degree, reverse ties
+def test_lead_key_orders_in_reverse_of_key(a, b):
+    everything = (0, 1, 2, 3, 4)
+    for order, blocks in ((lex_order(), [(everything, "lex")]),
+                          (degrevlex_order(), [(everything, "degrevlex")]),
+                          (_THREE_BLOCKS, _THREE_BLOCKS_SPEC)):
+        expected = _textbook_greater(blocks, a, b)
+        assert order.greater(a, b) == expected
+        assert (order.lead_key(a) < order.lead_key(b)) == expected
+        assert (order.key(a) > order.key(b)) == expected
+        assert (order.lead_key(a) == order.lead_key(b)) == (a == b)
+
+
+def test_orders_survive_pickling():
+    for order in (lex_order(), degrevlex_order(), _THREE_BLOCKS):
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy == order and hash(copy) == hash(order)
+        assert copy.lead_key((1, 0, 2, 0, 3)) == order.lead_key((1, 0, 2, 0, 3))
 
 
 def test_order_from_string_variants():
