@@ -13,7 +13,6 @@ from .orders import (
     OrderError,
     block_order,
     degrevlex_order,
-    elimination_order,
     lex_order,
     order_from_string,
 )
@@ -126,7 +125,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "ModInt", "PrimeField", "QQ", "Rationals", "is_prime",
     "MonomialOrder", "OrderError", "block_order", "degrevlex_order",
-    "elimination_order", "lex_order", "order_from_string",
+    "lex_order", "order_from_string",
     "ParseError", "Polynomial", "PolyRing", "RingError",
     "format_poly", "format_ring_header", "parse_ring_header",
     "ExactDivisionError", "content_wrt", "divides", "exact_divide",

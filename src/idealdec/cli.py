@@ -223,12 +223,10 @@ def _cmd_groebner(args, sink: List[str]) -> int:
 
 
 def _cmd_indepsets(args, sink: List[str]) -> int:
-    seed = _resolve_seed(args.seed)
     I = _read_ideal(args.ideal)
     sink.append(SCHEMA_LINE)
     sink.append("# command: indepsets")
     sink.append(_input_line(args.ideal))
-    sink.append(f"# seed: {seed}")
     sink.append(f"# limit: {args.limit if args.limit is not None else 'none'}")
     sink.append(format_ring_header(I.ring))
     if I.is_trivial():
@@ -251,22 +249,15 @@ def _cmd_indepsets(args, sink: List[str]) -> int:
 def _cmd_decompose(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
     I = _read_ideal(args.ideal)
-    symmetries: Tuple[SymmetryAction, ...] = ()
-    if args.symmetry_file:
-        symmetries = _read_symmetries(args.symmetry_file, I.ring)
     sink.append(SCHEMA_LINE)
     sink.append("# command: decompose")
     sink.append(_input_line(args.ideal))
     sink.append(f"# seed: {seed}")
     sink.append(f"# budget: {args.budget if args.budget is not None else 'none'}")
-    if args.symmetry_file:
-        sink.append(f"# symmetries: {len(symmetries)} (recorded; not used here)")
     sink.append(format_ring_header(I.ring))
     result = gtz_decompose(I, seed=seed, budget=args.budget)
     sink.append(f"components {len(result.components)}")
     sink.append(f"complete {'yes' if result.complete else 'no'}")
-    for note in result.notes:
-        sink.append(f"note {note}")
     for k, comp in enumerate(result.components, start=1):
         tag = f"component {k}"
         cert = comp.certificate if comp.certificate else "-"
@@ -301,11 +292,7 @@ def _cmd_primality(args, sink: List[str]) -> int:
     sink.append(f"# symmetries: {len(symmetries)}")
     sink.append(format_ring_header(I.ring))
     verdict = primality_check(
-        I,
-        symmetries=symmetries,
-        max_workers=args.workers,
-        seed=seed,
-        budget=args.budget,
+        I, symmetries=symmetries, seed=seed, budget=args.budget
     )
     sink.append(f"verdict {verdict.status}")
     for d in verdict.details:
@@ -375,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "independent sets")
     i.add_argument("ideal", help="generator file")
     i.add_argument("--limit", type=int, metavar="N",
-                   help="enumerate at most N sets")
-    i.add_argument("--seed", type=int, metavar="S",
-                   help=f"random seed (default: ${SEED_ENV} or 0)")
+                   help="enumerate at most N sets (positive)")
     i.add_argument("--score", action="store_true",
                    help="rank the sets by localized cost")
     common(i)
@@ -389,16 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"random seed (default: ${SEED_ENV} or 0)")
         sp.add_argument("--budget", type=int, metavar="N",
                         help="cap on independent-set candidates (positive)")
-        sp.add_argument("--symmetry-file", metavar="PATH",
-                        help="file of ideal automorphisms, one cycle-notation "
-                             "line per action")
         common(sp)
         return sp
 
     decompose_like("decompose", "primary decomposition report")
     pr = decompose_like("primality", "primality verdict for an ideal")
-    pr.add_argument("--workers", type=int, metavar="N",
-                    help="thread pool size for per-orbit quotient checks")
+    pr.add_argument("--symmetry-file", metavar="PATH",
+                    help="file of ideal automorphisms, one cycle-notation "
+                         "line per action")
 
     v = sub.add_parser("verify", help="structural checks for 44-generator data")
     v.add_argument("data", help="generator file to verify")
@@ -424,8 +407,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is not None and args.budget <= 0:
         parser.error("--budget must be a positive integer")
-    if getattr(args, "workers", None) is not None and args.workers <= 0:
-        parser.error("--workers must be a positive integer")
+    if getattr(args, "limit", None) is not None and args.limit <= 0:
+        parser.error("--limit must be a positive integer")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
 

@@ -15,6 +15,11 @@ The entry points are:
   I : c = I for the leading coefficients c, pruned by ideal symmetries;
 * ``is_maximal_zero_dim`` -- the maximality certificate itself.
 
+``zero_dim_decompose`` and ``is_maximal_zero_dim`` walk the same candidate
+primitive elements (the variables, then seeded linear forms) and split each
+candidate's minimal polynomial; the first stops at a split, the second at a
+refutation or a certified primitive element.
+
 Decisions that depend on polynomial factorization go through the bounded
 certificate toolkit in factorize; whenever that toolkit cannot decide, the
 affected component or verdict is reported as UNKNOWN with the unresolved
@@ -31,7 +36,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .domains import QQ
 from .factorize import FactorOutcome, FactorPart, split_minimal_polynomial
@@ -107,7 +112,6 @@ class DecompositionResult:
     ideal: Ideal
     components: Tuple[PrimaryComponent, ...]
     complete: bool
-    notes: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -202,17 +206,13 @@ def minimal_polynomial_of_form(
 
 
 def _split_branches(
-    I: Ideal, parts: Sequence[FactorPart], substitute: Optional[Tuple[int, Polynomial, PolyRing]]
+    I: Ideal, parts: Sequence[FactorPart], back: Callable[[Polynomial], Polynomial]
 ) -> List[Tuple[Ideal, str]]:
     """The branch ideals I + <p^mult> for coprime parts p of a minimal
-    polynomial.  ``substitute`` = (tag, form, big) rewrites parts that live
-    in a tag-extended ring back into I.ring before adjoining."""
+    polynomial, each part mapped into I.ring by ``back`` first."""
     out = []
     for part in parts:
-        p = part.poly
-        if substitute is not None:
-            tag, form, big = substitute
-            p = project(p.substitute(tag, inject(form, big, 0)), I.ring, 0)
+        p = back(part.poly)
         branch = ideal_sum(I, [p ** part.multiplicity])
         out.append((branch, str(normalize_assoc(p))))
     return out
@@ -272,6 +272,41 @@ def _linear_form_coeffs(
     return coeffs
 
 
+def _primitive_candidates(
+    I: Ideal,
+    u: Tuple[int, ...],
+    rest: Sequence[int],
+    seed: int,
+    linear_budget: int,
+    rng_seed: int,
+) -> Iterator[Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]]:
+    """The candidate primitive elements of the localized ideal, lazily: each
+    variable of ``rest``, then ``linear_budget`` linear forms (the first
+    fixed, the others drawn from ``rng_seed``).
+
+    Yields (label, m, v, outcome, back): the candidate's name, its minimal
+    polynomial m in the variable of index v (the tag of an extended ring for
+    a form), the split of m, and the map of a polynomial in m's ring back to
+    I.ring.
+    """
+    for v in rest:
+        m = minimal_polynomial(I, v, u)
+        yield I.ring.names[v], m, v, split_minimal_polynomial(m, v, u, seed), _identity
+    rng = random.Random(rng_seed)
+    for trial in range(linear_budget):
+        coeffs = _linear_form_coeffs(rest, I.ring.nvars, trial, rng)
+        m, form, big, tag = minimal_polynomial_of_form(I, coeffs, u)
+
+        def back(p: Polynomial, form=form, big=big, tag=tag) -> Polynomial:
+            return project(p.substitute(tag, inject(form, big, 0)), I.ring, 0)
+
+        yield str(form), m, tag, split_minimal_polynomial(m, tag, u, seed), back
+
+
+def _identity(p: Polynomial) -> Polynomial:
+    return p
+
+
 def zero_dim_decompose(
     I: Ideal,
     u: Iterable[int] = (),
@@ -303,40 +338,22 @@ def zero_dim_decompose(
         return [
             PrimaryComponent(I, I, True, certificate="dimension-1", provenance=prov)
         ]
-    rest = gb.rest_vars
+    # the variables' own minimal polynomials, for the radical at a leaf
     minpolys: List[Tuple[int, Polynomial]] = []
     obligations: List[str] = []
-    for v in rest:
-        m = minimal_polynomial(I, v, u)
-        minpolys.append((v, m))
-        outcome = split_minimal_polynomial(m, v, u, seed)
+    rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
+    for label, m, v, outcome, back in _primitive_candidates(
+        I, u, gb.rest_vars, seed, linear_budget, rng_seed
+    ):
+        if m.ring == I.ring:
+            minpolys.append((v, m))
         if _splits(outcome):
             comps: List[PrimaryComponent] = []
-            for branch, tag in _split_branches(I, outcome.parts, None):
+            for branch, part in _split_branches(I, outcome.parts, back):
                 for c in zero_dim_decompose(
                     branch, u, seed, linear_budget, _depth + 1
                 ):
-                    note = f"split {I.ring.names[v]} by {tag}"
-                    comps.append(_with_note(c, note))
-            return comps
-        part = outcome.parts[0]
-        if part.irreducible is None:
-            obligations.append(outcome.obligation or f"factor {m}")
-    # no variable split; try linear forms
-    rng = random.Random((seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0)
-    for trial in range(linear_budget):
-        coeffs = _linear_form_coeffs(rest, I.ring.nvars, trial, rng)
-        m, form, big, tag = minimal_polynomial_of_form(I, coeffs, u)
-        outcome = split_minimal_polynomial(m, tag, u, seed)
-        if _splits(outcome):
-            comps = []
-            for branch, label in _split_branches(
-                I, outcome.parts, (tag, form, big)
-            ):
-                for c in zero_dim_decompose(
-                    branch, u, seed, linear_budget, _depth + 1
-                ):
-                    comps.append(_with_note(c, f"split {form} by {label}"))
+                    comps.append(_with_note(c, f"split {label} by {part}"))
             return comps
         if outcome.parts[0].irreducible is None:
             obligations.append(outcome.obligation or f"factor {m}")
@@ -413,36 +430,18 @@ def is_maximal_zero_dim(
     D = gb.vector_space_dimension()
     if D == 1:
         return MaximalityResult(MAXIMAL, certificate="dimension-1")
-    rest = gb.rest_vars
     obligations: List[str] = []
-    for v in rest:
-        m = minimal_polynomial(I, v, u)
-        outcome = split_minimal_polynomial(m, v, u, seed)
-        if _refutes_maximality(outcome):
-            w = outcome.parts[0].poly
-            if w.degree_in(v) == 0 and len(outcome.parts) > 1:
-                w = outcome.parts[1].poly
-            return MaximalityResult(NOT_MAXIMAL, witness=w)
-        part = outcome.parts[0]
-        if part.irreducible is True and m.degree_in(v) == D:
-            cert = f"primitive-element:{I.ring.names[v]};{part.certificate}"
-            return MaximalityResult(MAXIMAL, certificate=cert)
-        if part.irreducible is None:
-            obligations.append(outcome.obligation or f"factor {m}")
-    rng = random.Random((seed << 8) ^ 0xA11F)
-    for trial in range(linear_budget):
-        coeffs = _linear_form_coeffs(rest, I.ring.nvars, trial, rng)
-        m, form, big, tag = minimal_polynomial_of_form(I, coeffs, u)
-        outcome = split_minimal_polynomial(m, tag, u, seed)
+    for label, m, v, outcome, back in _primitive_candidates(
+        I, u, gb.rest_vars, seed, linear_budget, (seed << 8) ^ 0xA11F
+    ):
         if _refutes_maximality(outcome):
             p = outcome.parts[0].poly
-            if p.degree_in(tag) == 0 and len(outcome.parts) > 1:
+            if p.degree_in(v) == 0 and len(outcome.parts) > 1:
                 p = outcome.parts[1].poly
-            w = project(p.substitute(tag, inject(form, big, 0)), I.ring, 0)
-            return MaximalityResult(NOT_MAXIMAL, witness=w)
+            return MaximalityResult(NOT_MAXIMAL, witness=back(p))
         part = outcome.parts[0]
-        if part.irreducible is True and m.degree_in(tag) == D:
-            cert = f"primitive-element:{form};{part.certificate}"
+        if part.irreducible is True and m.degree_in(v) == D:
+            cert = f"primitive-element:{label};{part.certificate}"
             return MaximalityResult(MAXIMAL, certificate=cert)
         if part.irreducible is None:
             obligations.append(outcome.obligation or f"factor {m}")
@@ -479,6 +478,18 @@ def _contract_component(
     sat = tuple((str(p), e) for p, e in trail)
     prov = replace(c.provenance, saturations=sat, depth=depth)
     return replace(c, primary=primary, prime=prime, provenance=prov)
+
+
+def _best_independent_set(
+    I: Ideal, dim: int, budget: Optional[int]
+) -> Tuple[int, ...]:
+    """The best-ranked maximal independent set of size dim among at most
+    ``budget`` enumerated candidates."""
+    candidates = [
+        us for us in maximal_independent_sets(I.groebner(), limit=budget)
+        if len(us) == dim
+    ]
+    return tuple(sorted(rank_independent_sets(I, candidates).best().u))
 
 
 def _dedupe(components: List[PrimaryComponent]) -> List[PrimaryComponent]:
@@ -543,18 +554,24 @@ def gtz_decompose(
     contracted back, and the remainder I + <h^m> (h the least common
     multiple of the localized leading coefficients, m the saturation
     exponent) is decomposed recursively.  Components are deduplicated and
-    pruned to an irredundant intersection.
+    pruned to an irredundant intersection.  ``budget`` caps how many
+    candidate independent sets are enumerated at each level.
+
+    The zero ideal, which is prime, is its own single component (certificate
+    ``zero-ideal``); the unit ideal has no components.
     """
     _require_rationals(I, "primary decomposition")
-    comps = _gtz(I, seed, budget, linear_budget, 0, max_depth)
-    comps = _dedupe(comps)
-    if not I.is_zero() and not I.is_trivial():
+    if I.is_zero():
+        return DecompositionResult(
+            I, (PrimaryComponent(I, I, True, certificate="zero-ideal"),), True
+        )
+    comps = _dedupe(_gtz(I, seed, budget, linear_budget, 0, max_depth))
+    if not I.is_trivial():
         comps = _prune_redundant(I, comps)
     comps.sort(key=lambda c: (len(c.primary.canonical_generators()),
                               [str(g) for g in c.primary.canonical_generators()]))
     complete = all(c.certified for c in comps)
-    notes = ()
-    return DecompositionResult(I, tuple(comps), complete, notes)
+    return DecompositionResult(I, tuple(comps), complete)
 
 
 def _gtz(
@@ -567,7 +584,7 @@ def _gtz(
 ) -> List[PrimaryComponent]:
     if depth > max_depth:
         raise DecompositionIncomplete("decomposition recursion depth exceeded")
-    if I.is_zero() or I.is_trivial():
+    if I.is_trivial():
         return []
     from .ideals import dimension
 
@@ -576,12 +593,7 @@ def _gtz(
         comps = zero_dim_decompose(I, (), seed, linear_budget)
         return [replace(c, provenance=replace(c.provenance, depth=depth))
                 for c in comps]
-    gb = I.groebner()
-    candidates = [
-        us for us in maximal_independent_sets(gb, limit=budget) if len(us) == dim
-    ]
-    ranking = rank_independent_sets(I, candidates, budget)
-    u = tuple(sorted(ranking.best().u))
+    u = _best_independent_set(I, dim, budget)
     local = zero_dim_decompose(I, u, seed, linear_budget)
     # when the localized ideal is already primary, local is [I] itself and
     # the contraction below is exactly the saturation shortcut
@@ -651,7 +663,6 @@ def _stable_under_quotient(I: Ideal, c: Polynomial) -> bool:
 def primality_check(
     I: Ideal,
     symmetries: Sequence[SymmetryAction] = (),
-    max_workers: Optional[int] = None,
     seed: int = 0,
     linear_budget: int = 6,
     u: Optional[Iterable[int]] = None,
@@ -665,8 +676,8 @@ def primality_check(
     orbit of the coefficients.  ``u`` overrides the ranked choice of
     independent set (it must be independent of full cardinality, e.g. one
     preserved by the symmetries); ``budget`` caps how many candidate sets
-    the ranked choice may enumerate.  ``max_workers`` > 1 runs the
-    per-orbit quotient checks on a thread pool (the outcome is unchanged).
+    the ranked choice may enumerate.  The zero ideal is PRIME and the unit
+    ideal NOT_PRIME, each with a one-line detail.
     """
     _require_rationals(I, "the primality check")
     details: List[str] = []
@@ -684,13 +695,7 @@ def primality_check(
     elif dim == 0:
         u = ()
     else:
-        gb = I.groebner()
-        candidates = [
-            us for us in maximal_independent_sets(gb, limit=budget)
-            if len(us) == dim
-        ]
-        ranking = rank_independent_sets(I, candidates)
-        u = tuple(sorted(ranking.best().u))
+        u = _best_independent_set(I, dim, budget)
     u_names = tuple(I.ring.names[i] for i in u)
     details.append("u=" + (",".join(u_names) if u_names else "-"))
     maximality = is_maximal_zero_dim(I, u, seed, linear_budget)
@@ -706,16 +711,10 @@ def primality_check(
         coefficient_orbits(cs, symmetries, I) if symmetries else
         [[i] for i in range(len(cs))]
     )
-    reps = [cs[orbit[0]] for orbit in orbits]
-    if max_workers is not None and max_workers > 1 and len(reps) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            stable = list(pool.map(lambda c: _stable_under_quotient(I, c), reps))
-    else:
-        stable = [_stable_under_quotient(I, c) for c in reps]
     witness = None
-    for orbit, c, ok in zip(orbits, reps, stable):
+    for orbit in orbits:
+        c = cs[orbit[0]]
+        ok = _stable_under_quotient(I, c)
         details.append(
             f"c={c} orbit_size={len(orbit)} stable={'yes' if ok else 'no'}"
         )

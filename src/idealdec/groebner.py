@@ -14,11 +14,13 @@ fixed order, which the test-suite exploits heavily.
 
 Leading data is computed once per basis element: ``buchberger`` keeps, next
 to each monic element, an entry (leading exponents, tail terms) that
-S-polynomials, reduction and interreduction all read, and a basis keeps the
-entries of its elements for ``normal_form``.  ``_reduce_full`` pops terms
-greatest first from a heap keyed by the order's compiled ``lead_key``; each
-monomial is pushed once, when it enters the work dict.  Over GF(p) the
-same code runs on ``ModInt`` coefficients.
+S-polynomials, reduction and interreduction all read, and the finished
+basis is built from the entries of its elements, which its leading-data
+views and ``normal_form`` read.  Normal forms exist for plain bases only;
+a localized basis raises ``GroebnerError`` for them.  ``_reduce_full`` pops
+terms greatest first from a heap keyed by the order's compiled
+``lead_key``; each monomial is pushed once, when it enters the work dict.
+Over GF(p) the same code runs on ``ModInt`` coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .orders import BLOCK, MonomialOrder, OrderError, block_order, degrevlex_order
-from .polygcd import content_wrt, exact_divide, normalize_assoc
 from .rings import Polynomial, PolyRing, RingError
 
 Exponents = Tuple[int, ...]
@@ -133,8 +134,11 @@ class GroebnerBasis:
 
     ``order`` is the order requested by the caller; ``computation_order``
     is the actual full-ring order used (a block order when localized).
-    Elements are monic with respect to the computation order and are sorted
-    by ascending leading monomial.
+    The basis is built from its entries under the computation order, as
+    ``buchberger`` holds them: ``elements`` are the monic polynomials they
+    make, sorted by ascending leading monomial, and the leading data below
+    is read from the entries, never recomputed.  Only a plain basis has
+    normal forms; a localized one serves its leading data.
     """
 
     __slots__ = (
@@ -143,9 +147,7 @@ class GroebnerBasis:
         "computation_order",
         "elements",
         "localized_vars",
-        "minimal",
-        "reduced",
-        "_nf_basis",
+        "_entries",
     )
 
     def __init__(
@@ -153,19 +155,18 @@ class GroebnerBasis:
         ring: PolyRing,
         order: MonomialOrder,
         computation_order: MonomialOrder,
-        elements: Tuple[Polynomial, ...],
+        entries: Sequence[Entry],
         localized_vars: Optional[frozenset] = None,
-        minimal: bool = True,
-        reduced: bool = True,
     ):
+        one = ring.domain.one
         self.ring = ring
         self.order = order
         self.computation_order = computation_order
-        self.elements = elements
+        self.elements = tuple(
+            Polynomial(ring, dict([(lead, one), *tail])) for lead, tail in entries
+        )
         self.localized_vars = localized_vars
-        self.minimal = minimal
-        self.reduced = reduced
-        self._nf_basis = None
+        self._entries = entries
 
     # -- structural views ---------------------------------------------------
 
@@ -179,28 +180,12 @@ class GroebnerBasis:
         )
 
     def lead_exps(self) -> List[Exponents]:
-        return [g.leading_data(self.computation_order)[1] for g in self.elements]
+        return [lead for lead, _ in self._entries]
 
     def localized_lead_exps(self) -> List[Exponents]:
         """Leading exponents restricted to the non-localized variables."""
         rest = self.rest_vars
         return [tuple(e[i] for i in rest) for e in self.lead_exps()]
-
-    def leading_monomials(self) -> Tuple[Polynomial, ...]:
-        """Minimal monomial generators of the leading ideal (localized view)."""
-        rest = self.rest_vars
-        nvars = self.ring.nvars
-        seen: List[Exponents] = []
-        for proj in sorted(self.localized_lead_exps(), key=sum):
-            if not any(_divides(s, proj) for s in seen):
-                seen.append(proj)
-        out = []
-        for proj in sorted(seen):
-            full = [0] * nvars
-            for pos, i in enumerate(rest):
-                full[i] = proj[pos]
-            out.append(self.ring.monomial(tuple(full)))
-        return tuple(out)
 
     def leading_coefficients(self) -> Tuple[Polynomial, ...]:
         """Per element, the K[u]-coefficient of its localized leading monomial.
@@ -226,68 +211,17 @@ class GroebnerBasis:
     # -- membership ----------------------------------------------------------
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """The full normal form of f against a plain basis.
+
+        Raises GroebnerError for a localized basis, whose elements reduce
+        only over K(u).
+        """
         if f.ring != self.ring:
             raise RingError("polynomial from a different ring")
-        if not self.elements:
-            return f
-        if self.localized_vars is None:
-            if self._nf_basis is None:
-                order = self.computation_order
-                self._nf_basis = [_entry(g, order) for g in self.elements]
-            terms = _reduce_full(f.terms, self._nf_basis, self.computation_order)
-            return Polynomial(self.ring, terms)
-        return self._localized_normal_form(f)
-
-    def _localized_normal_form(self, f: Polynomial) -> Polynomial:
-        """Pseudo-reduction in K(u)[rest]; returns the canonical primitive
-        associate of the remainder (zero iff f lies in the localized ideal)."""
-        rest = self.rest_vars
-        u = self.localized_vars
-        nvars = self.ring.nvars
-        comp_key = self.computation_order.key
-
-        def inner_key(proj):
-            return comp_key(_embed(proj, rest, nvars))
-
-        lead_projs = self.localized_lead_exps()
-        lcs = self.leading_coefficients()
-        work = dict(f.terms)
-        retired: Dict[Exponents, object] = {}
-        while work:
-            classes: Dict[Exponents, List[Exponents]] = {}
-            for exps in work:
-                classes.setdefault(tuple(exps[i] for i in rest), []).append(exps)
-            mu = max(classes, key=inner_key)
-            idx = None
-            for j, lp in enumerate(lead_projs):
-                if _divides(lp, mu):
-                    idx = j
-                    break
-            if idx is None:
-                for exps in classes[mu]:
-                    retired[exps] = work.pop(exps)
-                continue
-            g = self.elements[idx]
-            lc_poly = lcs[idx]
-            coeff_terms = {}
-            for exps in classes[mu]:
-                coeff_terms[
-                    tuple(e if i in u else 0 for i, e in enumerate(exps))
-                ] = work[exps]
-            a = Polynomial(self.ring, coeff_terms)
-            shift = [0] * self.ring.nvars
-            for pos, i in enumerate(rest):
-                shift[i] = mu[pos] - lead_projs[idx][pos]
-            scaled_work = Polynomial(self.ring, work) * lc_poly
-            sub = (a.multiply_monomial(tuple(shift), self.ring.domain.one)) * g
-            work = (scaled_work - sub).terms
-            if retired:
-                retired = (Polynomial(self.ring, retired) * lc_poly).terms
-        result = Polynomial(self.ring, retired)
-        if result.is_zero():
-            return result
-        cont = content_wrt(result, u)
-        return normalize_assoc(exact_divide(result, cont))
+        if self.localized_vars is not None:
+            raise GroebnerError("a localized basis has no normal forms")
+        terms = _reduce_full(f.terms, self._entries, self.computation_order)
+        return Polynomial(self.ring, terms)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -469,33 +403,24 @@ def buchberger(
             kept.append(i)
     reduced_entries = [entries[i] for i in kept]
     _interreduce(reduced_entries, comp_order)
-    reduced = [Polynomial(ring, dict([(le, one), *tail]))
-               for le, tail in reduced_entries]
 
     if loc is None:
-        return GroebnerBasis(ring, order, comp_order, tuple(reduced), None)
+        return GroebnerBasis(ring, order, comp_order, reduced_entries)
 
     # localized minimalisation: keep elements whose leading monomial
     # restricted to the rest block is not divisible by a kept one.
-    inner = [(tuple(e[i] for i in rest), e, g)
-             for g, (e, _) in zip(reduced, reduced_entries)]
-    inner.sort(key=lambda t: (key(_embed(t[0], rest, ring.nvars)), key(t[1])))
+    def inner_key(entry: Entry) -> tuple:
+        lead = entry[0]
+        return key(tuple(0 if i in loc else e for i, e in enumerate(lead))), key(lead)
+
     kept_projs: List[Exponents] = []
-    chosen: List[Polynomial] = []
-    for proj, _, g in inner:
+    chosen: List[Entry] = []
+    for entry in sorted(reduced_entries, key=inner_key):
+        proj = tuple(entry[0][i] for i in rest)
         if not any(_divides(kp, proj) for kp in kept_projs):
             kept_projs.append(proj)
-            chosen.append(g)
-    return GroebnerBasis(
-        ring, order, comp_order, tuple(chosen), loc, minimal=True, reduced=False
-    )
-
-
-def _embed(proj: Exponents, rest: Sequence[int], nvars: int) -> Exponents:
-    full = [0] * nvars
-    for pos, i in enumerate(rest):
-        full[i] = proj[pos]
-    return tuple(full)
+            chosen.append(entry)
+    return GroebnerBasis(ring, order, comp_order, chosen, loc)
 
 
 def is_groebner_basis(

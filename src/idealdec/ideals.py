@@ -14,6 +14,12 @@ follow the standard eliminate-a-tag-variable constructions:
   the extension ideal I K(u)[X-u] back into its contraction in K[X];
 * dimension(I):     n minus the size of a minimum hitting set of the
   leading-monomial supports (Krull dimension of K[X]/I).
+
+Each construction has one order: the tag of intersect and quotient sits in
+front of degrevlex, eliminate uses degrevlex inside both blocks, and
+contraction saturates under ``contraction_order``.  Only ``saturate`` and
+``chained_saturation`` take a working order, because decomposition
+saturates under degrevlex and contraction under lex blocks.
 """
 
 from __future__ import annotations
@@ -134,16 +140,13 @@ def _eliminate_tag(
     the tag first and the working order, degrevlex by default, behind)."""
     big = extend_ring(ring, [fresh_name(ring, name)], front=True)
     order = flatten_with_front(
-        working_order if working_order is not None else degrevlex_order(),
-        front=[0], total_nvars=big.nvars, shift=lambda i: i + 1,
+        working_order if working_order is not None else degrevlex_order(), big.nvars
     )
     G = buchberger(build(big, big.var(big.names[0])), order)
     return Ideal(ring, [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0])
 
 
-def intersect(
-    I: Ideal, J: Ideal, working_order: Optional[MonomialOrder] = None
-) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I meet J via elimination of a tag variable t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise RingError("ideals in different rings")
@@ -155,15 +158,13 @@ def intersect(
     if J.is_trivial():
         return Ideal(ring, I.generators)
     return _eliminate_tag(
-        ring, "t", working_order,
+        ring, "t", degrevlex_order(),
         lambda big, t: [t * inject(g, big, 1) for g in I.generators]
         + [(big.one - t) * inject(g, big, 1) for g in J.generators],
     )
 
 
-def quotient(
-    I: Ideal, f: Polynomial, working_order: Optional[MonomialOrder] = None
-) -> Ideal:
+def quotient(I: Ideal, f: Polynomial) -> Ideal:
     """The colon ideal I : f."""
     if f.ring != I.ring:
         raise RingError("polynomial from a different ring")
@@ -173,7 +174,7 @@ def quotient(
         return Ideal(I.ring, I.generators)
     if I.is_zero():
         return Ideal(I.ring, [])
-    W = intersect(I, Ideal(I.ring, [f]), working_order)
+    W = intersect(I, Ideal(I.ring, [f]))
     return Ideal(I.ring, [exact_divide(w, f) for w in W.generators])
 
 
@@ -219,10 +220,9 @@ def saturate(
     return result
 
 
-def eliminate(
-    I: Ideal, variables: Iterable[int], inner: str = DEGREVLEX
-) -> Ideal:
-    """Generators of I intersected with K[remaining variables]."""
+def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
+    """Generators of I intersected with K[remaining variables], from a
+    degrevlex/degrevlex block order with the eliminated variables first."""
     ring = I.ring
     elim = tuple(sorted(set(variables)))
     for i in elim:
@@ -233,7 +233,7 @@ def eliminate(
     if I.is_zero():
         return Ideal(ring, [])
     rest = tuple(i for i in range(ring.nvars) if i not in set(elim))
-    blocks = [(elim, inner)] + ([(rest, inner)] if rest else [])
+    blocks = [(elim, DEGREVLEX)] + ([(rest, DEGREVLEX)] if rest else [])
     G = buchberger(I.generators, block_order(blocks))
     elim_set = set(elim)
     picked = [g for g in G.elements if not (g.support() & elim_set)]
@@ -241,8 +241,8 @@ def eliminate(
 
 
 def contraction_order(ring: PolyRing, u: Iterable[int]) -> MonomialOrder:
-    """The default working order for contraction work at an independent set
-    u: lex blocks with the non-u variables in front."""
+    """The working order of contraction at an independent set u: lex blocks
+    with the non-u variables in front."""
     u = frozenset(u)
     rest = tuple(i for i in range(ring.nvars) if i not in u)
     blocks = ([(rest, LEX)] if rest else []) + ([(tuple(sorted(u)), LEX)] if u else [])
@@ -281,21 +281,20 @@ def chained_saturation(
     return current, steps
 
 
-def contract(
-    I: Ideal, u: Iterable[int], working_order: Optional[MonomialOrder] = None
-) -> Ideal:
+def contract(I: Ideal, u: Iterable[int]) -> Ideal:
     """Contraction of the extension I K(u)[X-u] back to K[X].
 
     Requires u independent for I (no leading monomial supported inside u).
     Saturates I by the K[u]-leading coefficients of a minimal localized
-    basis, in the order of sort_saturation_coefficients.
+    basis, in the order of sort_saturation_coefficients, each saturation
+    under contraction_order(I.ring, u).
     """
-    result, _ = contract_with_trail(I, u, working_order)
+    result, _ = contract_with_trail(I, u)
     return result
 
 
 def contract_with_trail(
-    I: Ideal, u: Iterable[int], working_order: Optional[MonomialOrder] = None
+    I: Ideal, u: Iterable[int]
 ) -> Tuple[Ideal, List[Tuple[Polynomial, int]]]:
     """contract(), but also return the (coefficient, exponent) trail of the
     chained saturation that produced it."""
@@ -306,10 +305,8 @@ def contract_with_trail(
     G = I.groebner(order=lex_order(), localized_vars=u)
     if G.is_trivial():
         raise IdealError("u is not an independent set for I")
-    if working_order is None:
-        working_order = contraction_order(ring, u)
     cs = sort_saturation_coefficients(G.leading_coefficients())
-    return chained_saturation(I, cs, working_order)
+    return chained_saturation(I, cs, contraction_order(ring, u))
 
 
 def dimension(I: Ideal) -> int:

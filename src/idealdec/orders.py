@@ -137,31 +137,19 @@ def block_order(blocks: Iterable) -> MonomialOrder:
     return MonomialOrder(BLOCK, normalized)
 
 
-def elimination_order(
-    front: Sequence[int],
-    back: Sequence[int],
-    front_kind: str = DEGREVLEX,
-    back_kind: str = DEGREVLEX,
-) -> MonomialOrder:
-    """Block order eliminating ``front``: front block > back block."""
-    return block_order([(tuple(front), front_kind), (tuple(back), back_kind)])
+def flatten_with_front(order: MonomialOrder, total_nvars: int) -> MonomialOrder:
+    """Prepend a lex block for a tag variable adjoined at position 0.
 
-
-def flatten_with_front(order: MonomialOrder, front: Sequence[int], total_nvars: int,
-                       shift, front_kind: str = LEX) -> MonomialOrder:
-    """Prepend a front elimination block to an existing order.
-
-    ``total_nvars`` is the variable count of the *extended* ring and
-    ``shift`` maps an old variable index to its index there.  Used when new
-    helper variables (e.g. the t of an intersection) are adjoined and must
-    dominate a given working order on the original ring.
+    ``total_nvars`` is the variable count of the *extended* ring, whose
+    other variables are the old ones shifted by one; the tag dominates the
+    given working order on them (the t of an intersection, the w of a
+    saturation).
     """
-    front_block = (tuple(front), front_kind)
+    front_block = ((0,), LEX)
     if order.kind in _SIMPLE_KINDS:
-        rest = tuple(sorted(set(range(total_nvars)) - set(front)))
-        return MonomialOrder(BLOCK, (front_block, (rest, order.kind)))
+        return MonomialOrder(BLOCK, (front_block, (tuple(range(1, total_nvars)), order.kind)))
     shifted = tuple(
-        (tuple(shift(i) for i in idxs), inner) for idxs, inner in order.blocks
+        (tuple(i + 1 for i in idxs), inner) for idxs, inner in order.blocks
     )
     return MonomialOrder(BLOCK, (front_block,) + shifted)
 

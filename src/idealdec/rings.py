@@ -550,7 +550,8 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
         c = coeff if sign > 0 else -coeff
         s = terms.get(key)
         if s is None:
-            terms[key] = c
+            if c:
+                terms[key] = c
         else:
             s = s + c
             if s:

@@ -120,6 +120,16 @@ def test_groebner_block_order(capsys, gens_file):
     assert "order=block:x|y,z" in out.splitlines()[0]
 
 
+def test_zero_coefficient_terms_are_dropped(capsys, gens_file):
+    path = gens_file("ring Q[x,y]\nx*y\n0*x\n")
+    code, out, err = run(capsys, "groebner", path)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-2:] == ["ring Q[x,y]", "x*y"]
+    for command in ("decompose", "primality", "indepsets"):
+        code, out, err = run(capsys, command, path)
+        assert code == EXIT_OK and err == "", command
+
+
 def test_groebner_bad_order(capsys, gens_file):
     path = gens_file(XYXZ)
     code, out, err = run(capsys, "groebner", path, "--order", "shortlex")
@@ -189,22 +199,17 @@ def test_decompose_report(capsys, gens_file):
     ]
 
 
-def test_decompose_records_symmetry_file(capsys, gens_file, tmp_path):
-    path = gens_file(XYXZ)
-    sym = tmp_path / "sym.txt"
-    sym.write_text("(y z)\n")
-    code, out, err = run(capsys, "decompose", path, "--symmetry-file", str(sym))
+def test_decompose_zero_ideal(capsys, gens_file):
+    path = gens_file("ring Q[x,y]\n")
+    code, out, err = run(capsys, "decompose", path)
     assert code == EXIT_OK
-    assert "# symmetries: 1 (recorded; not used here)" in out.splitlines()
-
-
-def test_decompose_bad_symmetry_file(capsys, gens_file, tmp_path):
-    path = gens_file(XYXZ)
-    sym = tmp_path / "sym.txt"
-    sym.write_text("(y q)\n")
-    code, out, err = run(capsys, "decompose", path, "--symmetry-file", str(sym))
-    assert code == EXIT_ERROR
-    assert "line 1" in err
+    lines = out.splitlines()
+    assert lines[lines.index("ring Q[x,y]") :] == [
+        "ring Q[x,y]",
+        "components 1",
+        "complete yes",
+        "component 1 certified=yes certificate=zero-ideal",
+    ]
 
 
 def test_decompose_and_primality_refuse_prime_fields(capsys, gens_file):
@@ -272,6 +277,15 @@ def test_primality_with_symmetry_file(capsys, gens_file, tmp_path):
     assert code == EXIT_OK
     assert "# symmetries: 1" in out
     assert "verdict NOT_PRIME" in out
+
+
+def test_primality_bad_symmetry_file(capsys, gens_file, tmp_path):
+    path = gens_file(XYXZ)
+    sym = tmp_path / "sym.txt"
+    sym.write_text("(y q)\n")
+    code, out, err = run(capsys, "primality", path, "--symmetry-file", str(sym))
+    assert code == EXIT_ERROR
+    assert "line 1" in err
 
 
 # -- verify ---------------------------------------------------------------
@@ -358,10 +372,22 @@ def test_usage_errors_exit_one(capsys):
     assert code == EXIT_ERROR
 
 
-def test_nonpositive_budget_rejected(capsys, gens_file):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--budget", "0"),
+        ("indepsets", "--limit", "0"),
+        ("indepsets", "--limit", "-3"),
+    ],
+    ids=["decompose-budget-0", "indepsets-limit-0", "indepsets-limit-minus-3"],
+)
+def test_nonpositive_budget_rejected(capsys, gens_file, argv):
     path = gens_file(XYXZ)
-    code, out, err = run(capsys, "decompose", path, "--budget", "0")
+    command, *flags = argv
+    code, out, err = run(capsys, command, path, *flags)
     assert code == EXIT_ERROR
+    assert "must be a positive integer" in err
+    assert out == ""
 
 
 def test_timeout_gives_partial_log_and_code_three(capsys, tmp_path):
@@ -394,3 +420,33 @@ def test_out_flag_writes_report_file(capsys, gens_file, tmp_path):
     code, out, err = run(capsys, "primality", path, "--out", str(target))
     assert code == EXIT_OK
     assert "verdict NOT_PRIME" in target.read_text()
+
+
+def test_runs_without_optional_packages(tmp_path):
+    """The package needs nothing beyond the standard library: with sympy,
+    numpy and hypothesis made unimportable before idealdec is imported,
+    groebner, decompose and primality all succeed."""
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "cubic.gens"
+    path.write_text(CUBIC)
+    script = (
+        "import sys\n"
+        "for name in ('sympy', 'numpy', 'hypothesis'):\n"
+        "    sys.modules[name] = None\n"
+        "from idealdec.cli import main\n"
+        "codes = [main([command, sys.argv[1], '--out', sys.argv[2] + command])\n"
+        "         for command in ('groebner', 'decompose', 'primality')]\n"
+        "print(codes)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "report-")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0]", done.stderr
+    assert "verdict PRIME" in (tmp_path / "report-primality").read_text()

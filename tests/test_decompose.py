@@ -153,9 +153,16 @@ def test_gtz_principal_products(rxy):
 
 
 def test_gtz_zero_and_unit(rxy):
+    # <0> is prime, so it is its own single component; the empty
+    # intersection is the unit ideal
     zero = Ideal(rxy, [])
     res = gtz_decompose(zero)
-    assert res.complete and len(res.components) == 0
+    assert res.complete and len(res.components) == 1
+    (comp,) = res.components
+    assert comp.certified and comp.certificate == "zero-ideal"
+    assert comp.primary.is_zero() and comp.prime.is_zero()
+    parsed = gtz_decompose(_ideal(rxy, "0", "0*x"))
+    assert [c.certificate for c in parsed.components] == ["zero-ideal"]
 
     unit = _ideal(rxy, "x", "x + 1")
     res = gtz_decompose(unit)
@@ -273,14 +280,6 @@ def test_primality_with_symmetry_and_supplied_u(rxyzw):
     assert any("orbit_size=2" in d for d in pruned.details)
     with pytest.raises(IdealError):
         primality_check(I, u=(0,))
-
-
-def test_primality_parallel_schedule_matches(rxyz):
-    I = _ideal(rxyz, "x*y", "x*z")
-    seq = primality_check(I)
-    par = primality_check(I, max_workers=4)
-    assert seq.status == par.status == NOT_PRIME
-    assert str(seq.witness) == str(par.witness)
 
 
 def test_saturation_commutes_with_automorphism(rxyzw):

@@ -29,7 +29,6 @@ def test_spolynomial_cancels_leading_terms(rxy):
 def test_reduced_basis_of_linear_system(rxy):
     G = _gb(rxy, ["x + y", "x - y"], lex_order())
     assert [str(g) for g in G.elements] == ["y", "x"]
-    assert G.reduced
 
 
 def test_classic_lex_elimination(rxyz):
@@ -86,10 +85,17 @@ def test_localized_basis_sees_unit_parameters(rxyz):
     assert G.is_trivial()
 
 
+def test_localized_basis_has_no_normal_forms(rxy):
+    G = _gb(rxy, ["x*y"], localized=[1])
+    with pytest.raises(GroebnerError):
+        G.normal_form(rxy.parse("x"))
+    with pytest.raises(GroebnerError):
+        G.contains(rxy.parse("x*y"))
+
+
 def test_leading_monomials_and_exps(rxy):
     G = _gb(rxy, ["x^2 - y", "y^2 - 1"], lex_order())
     assert sorted(G.lead_exps()) == [(0, 2), (2, 0)]
-    assert all(m.num_terms() == 1 for m in G.leading_monomials())
 
 
 def test_elements_sorted_by_ascending_leading_monomial(rxyz):

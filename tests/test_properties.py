@@ -1,0 +1,212 @@
+"""Property tests of gcd, factorization and parsing, with sympy as oracle.
+
+* ``poly_gcd`` of a*c and b*c in Q[x,y] and Q[x,y,z] equals ``sympy.gcd``
+  up to associates;
+* ``factor_rational_univariate`` of a product of small factors of total
+  degree at most 8 gives the factors and multiplicities of
+  ``sympy.factor_list``;
+* ``ring.parse(str(f)) == f`` over Q and GF(7), the zero polynomial
+  included;
+* random text fed to the parser raises nothing but ``ParseError`` or
+  ``DomainError``, and the command line turns a rejected line into exit
+  code 1 with an ``idealdec: error:`` message.
+"""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from idealdec.cli import EXIT_ERROR, EXIT_OK, main
+from idealdec.domains import QQ, DomainError, PrimeField
+from idealdec.factorize import factor_rational_univariate
+from idealdec.polygcd import normalize_assoc, poly_gcd
+from idealdec.rings import ParseError, PolyRing
+
+sympy = pytest.importorskip("sympy")
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+NAMES = ("x", "y", "z")
+SYMBOLS = sympy.symbols(NAMES)
+
+
+def _terms(nvars, max_degree, max_terms, coeffs):
+    monomials = list(_exponents(nvars, max_degree))
+    return st.dictionaries(st.sampled_from(monomials), coeffs,
+                           min_size=1, max_size=max_terms)
+
+
+def _exponents(nvars, max_degree):
+    if nvars == 0:
+        yield ()
+        return
+    for a in range(max_degree + 1):
+        for rest in _exponents(nvars - 1, max_degree - a):
+            yield (a,) + rest
+
+
+def _to_sympy(ring, f):
+    syms = SYMBOLS[: ring.nvars]
+    expr = sympy.Integer(0)
+    for exps, c in f.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(syms, exps):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def _from_sympy(ring, expr):
+    if expr == 0:
+        return ring.zero
+    poly = sympy.Poly(expr, *SYMBOLS[: ring.nvars])
+    return ring.poly({
+        tuple(int(e) for e in exps): Fraction(int(c.p), int(c.q))
+        for exps, c in poly.terms()
+    })
+
+
+# -- gcd ----------------------------------------------------------------------
+
+_small_ints = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _gcd_case(draw):
+    nvars = draw(st.sampled_from([2, 3]))
+    polys = [draw(_terms(nvars, 2, 3, _small_ints)) for _ in range(3)]
+    return nvars, polys
+
+
+@_settings
+@given(case=_gcd_case())
+@example(case=(2, [{(1, 0): 1}, {(0, 1): 1}, {(1, 1): 2, (0, 0): -1}]))
+def test_poly_gcd_matches_sympy(case):
+    nvars, (a, b, c) = case
+    ring = PolyRing(NAMES[:nvars], QQ)
+    a, b, c = (ring.poly(t) for t in (a, b, c))
+    f, g = a * c, b * c
+    theirs = sympy.gcd(_to_sympy(ring, f), _to_sympy(ring, g))
+    assert normalize_assoc(poly_gcd(f, g)) == normalize_assoc(_from_sympy(ring, theirs))
+
+
+# -- univariate factorization -------------------------------------------------
+
+_factor = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+@st.composite
+def _product(draw):
+    """Dense ascending Fraction coefficients of a product of small factors,
+    with multiplicities, of total degree 1..8."""
+    factors = draw(st.lists(st.tuples(_factor, st.integers(1, 3)),
+                            min_size=1, max_size=4))
+    product = [Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))]
+    for cs, mult in factors:
+        for _ in range(mult):
+            if len(product) + len(cs) - 2 > 8:
+                break
+            out = [Fraction(0)] * (len(product) + len(cs) - 1)
+            for i, p in enumerate(product):
+                for j, q in enumerate(cs):
+                    out[i + j] += p * q
+            product = out
+    if len(product) == 1:
+        product = [Fraction(1), Fraction(1)]
+    return product
+
+
+def _primitive_positive(coeffs):
+    """Integer coefficients with content 1 and a positive leading one."""
+    from math import gcd
+
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    ints = [c // content for c in ints]
+    return tuple(ints) if ints[-1] > 0 else tuple(-c for c in ints)
+
+
+@_settings
+@given(coeffs=_product())
+@example(coeffs=[Fraction(c) for c in (12, -8, -1, 1)])  # (x - 2)^2 (x + 3)
+@example(coeffs=[Fraction(c) for c in (4, 0, 0, 0, 1)])  # x^4 + 4, Sophie Germain
+def test_factor_rational_univariate_matches_sympy(coeffs):
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(coeffs))
+    _, factors = sympy.factor_list(expr, x)
+    theirs = sorted(
+        (_primitive_positive([Fraction(int(c.p), int(c.q))
+                              for c in reversed(sympy.Poly(f, x).all_coeffs())]), m)
+        for f, m in factors
+    )
+    ours = sorted((tuple(f), m) for f, m in factor_rational_univariate(coeffs))
+    assert ours == theirs
+
+
+# -- parsing ------------------------------------------------------------------
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _poly(draw):
+    modulus = draw(st.sampled_from([None, 7]))
+    ring = PolyRing(NAMES, QQ if modulus is None else PrimeField(modulus))
+    terms = draw(st.dictionaries(st.sampled_from(list(_exponents(3, 3))),
+                                 _rationals if modulus is None else st.integers(-20, 20),
+                                 max_size=5))
+    return ring, ring.poly(terms)
+
+
+@_settings
+@given(case=_poly())
+@example(case=(PolyRing(NAMES, QQ), PolyRing(NAMES, QQ).zero))
+@example(case=(PolyRing(NAMES, PrimeField(7)), PolyRing(NAMES, PrimeField(7)).zero))
+def test_parse_inverts_str(case):
+    ring, f = case
+    assert ring.parse(str(f)) == f
+
+
+_junk = st.text(alphabet="xyzw0123456789+-*/^() .,_", max_size=24)
+
+
+@_settings
+@given(text=_junk, modulus=st.sampled_from([None, 7]))
+@example(text="1/0", modulus=None)
+@example(text="x/7", modulus=7)
+@example(text="1/7", modulus=7)
+def test_junk_text_is_rejected_cleanly(text, modulus, tmp_path_factory):
+    domain = QQ if modulus is None else PrimeField(modulus)
+    ring = PolyRing(NAMES, domain)
+    try:
+        ring.parse(text)
+    except (ParseError, DomainError):
+        rejected = True
+    else:
+        rejected = False
+    if not text.strip():
+        return  # a blank line is skipped in a generator file
+    header = "ring Q[x,y,z]" if modulus is None else f"ring GF({modulus})[x,y,z]"
+    path = tmp_path_factory.mktemp("junk") / "junk.gens"
+    path.write_text(f"{header}\n{text}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["groebner", str(path), "--out", str(path.with_suffix(".out"))])
+    if rejected:
+        assert code == EXIT_ERROR
+        assert err.getvalue().startswith("idealdec: error: line 2: ")
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert (code, err.getvalue()) == (EXIT_OK, "")

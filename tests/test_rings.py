@@ -46,6 +46,23 @@ def test_parse_rejects_malformed_input(rxyz):
             rxyz.parse(bad)
 
 
+def test_parse_drops_zero_coefficients(rxyz):
+    assert rxyz.parse("0").is_zero()
+    assert rxyz.parse("0*x").is_zero()
+    assert rxyz.parse("0*x + 0").is_zero()
+    f = rxyz.parse("3*x^2 + 0*y")
+    assert f == rxyz.parse("3*x^2") and f.num_terms() == 1
+    assert rxyz.parse("0*x + y - y") == rxyz.zero
+
+
+def test_parse_drops_terms_that_vanish_mod_p():
+    ring = PolyRing(("x", "y"), PrimeField(7))
+    f = ring.parse("8 + 48")
+    assert f.is_zero() and format_poly(f) == "0"
+    assert ring.parse(format_poly(f)) == f
+    assert ring.parse("7*x + y").terms == ring.parse("y").terms
+
+
 def test_display_order_is_lex_descending(rxyz):
     f = rxyz.parse("y + x + z^4")
     assert format_poly(f) == "x + y + z^4"
