@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .decompose import (
     DecompositionError,
+    DecompositionIncomplete,
     UNKNOWN,
     gtz_decompose,
     primality_check,
@@ -429,6 +430,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
+    except DecompositionIncomplete as ex:
+        # a depth or budget overrun: unfinished, not an input error
+        print(f"idealdec: incomplete: {ex}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (ParseError, FileFormatError, OrderError, SymmetryError,
             HyperedgeError, IdealError, GroebnerError,
             DecompositionError) as ex:

@@ -355,7 +355,12 @@ def zero_dim_decompose(
                 ):
                     comps.append(_with_note(c, f"split {label} by {part}"))
             return comps
-        if outcome.parts[0].irreducible is None:
+        part = outcome.parts[0]
+        if (part.irreducible is True and part.multiplicity == 1
+                and m.degree_in(v) == D):
+            # a primitive element of a field: no candidate can split
+            break
+        if part.irreducible is None:
             obligations.append(outcome.obligation or f"factor {m}")
     # leaf: no split found anywhere
     R = _radical_zero_dim(I, u, minpolys)

@@ -8,9 +8,16 @@ elements form a Groebner basis of the extension ideal in K(u)[X minus u],
 with their K[u]-leading coefficients kept as honest ring elements (they are
 exactly the c_i used by contraction and the primality certificate).
 
-Selection strategy is normal (smallest lcm first); the coprimality and
-chain criteria prune S-pairs.  Reduced bases over a field are unique for a
-fixed order, which the test-suite exploits heavily.
+Selection strategy is normal (smallest lcm first).  S-pairs are pruned by
+the Gebauer-Moller update (Gebauer and Moller, *Installation of
+Buchberger's algorithm*, JSC 1988; the UPDATE of Becker and Weispfenning,
+*Groebner Bases*, 1993), once, when an element h joins the basis: queued
+pairs that h covers are dropped (criterion B), the new pairs with h are
+kept only if no smaller new lcm divides theirs (criteria M and F) and are
+then dropped when coprime, and elements whose leading monomial LM(h)
+divides form no further pairs, though they still reduce.  Reduced bases
+over a field are unique for a fixed order, which the test-suite exploits
+heavily.
 
 Leading data is computed once per basis element: ``buchberger`` keeps, next
 to each monic element, an entry (leading exponents, tail terms) that
@@ -349,10 +356,16 @@ def buchberger(
     basis: List[Polynomial] = []
     entries: List[Entry] = []
     lead: List[Exponents] = []
+    # elements whose leading monomial no later leading monomial divides;
+    # only these form new pairs
+    live: List[int] = []
+    # queued pairs (i, j), i < j, and their lcms; the heap orders them by
+    # lcm and skips a pair once it has left the dict
+    pairs: Dict[Tuple[int, int], Exponents] = {}
     heap: List[tuple] = []
-    done = set()
 
     def add_poly(terms: Dict[Exponents, object], le: Exponents) -> None:
+        """Append an element and update the pairs (Gebauer-Moller)."""
         lc = terms[le]
         if lc != one:
             terms = {e: c / lc for e, c in terms.items()}
@@ -360,32 +373,37 @@ def buchberger(
         basis.append(Polynomial(ring, terms))
         entries.append((le, [t for t in terms.items() if t[0] != le]))
         lead.append(le)
-        for i in range(j):
+        # criterion B: le divides lcm(i, k), but neither lcm(i, j) nor
+        # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
+        for (i, k), lcm in list(pairs.items()):
+            if (_divides(le, lcm) and _lcm_exps(lead[i], le) != lcm
+                    and _lcm_exps(lead[k], le) != lcm):
+                del pairs[i, k]
+        # criteria M and F: by ascending degree, coprime pairs first, keep
+        # a new pair only if no kept lcm divides its lcm; then drop the
+        # coprime pairs, whose S-polynomials reduce to zero
+        new = []
+        for i in live:
             lcm = _lcm_exps(lead[i], le)
-            heapq.heappush(heap, (key(lcm), i, j, lcm))
+            new.append((sum(lcm), any(map(min, lead[i], le)), i, lcm))
+        new.sort()
+        kept: List[Exponents] = []
+        for _, shared, i, lcm in new:
+            if not any(_divides(m, lcm) for m in kept):
+                kept.append(lcm)
+                if shared:
+                    pairs[i, j] = lcm
+                    heapq.heappush(heap, (key(lcm), i, j))
+        live[:] = [i for i in live if not _divides(le, lead[i])]
+        live.append(j)
 
     leads = [g.leading_data(comp_order)[1] for g in work]
     for i in sorted(range(len(work)), key=lambda i: key(leads[i])):
         add_poly(work[i].terms, leads[i])
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        done.add((i, j))
-        # coprimality criterion
-        if all(a + b == l for a, b, l in zip(lead[i], lead[j], lcm)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(lead[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
+        _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
         s = spolynomial(basis[i], basis[j], comp_order, (entries[i], entries[j]))
         if s.is_zero():

@@ -223,6 +223,21 @@ def test_decompose_and_primality_refuse_prime_fields(capsys, gens_file):
     assert out.splitlines()[-1] == "x^2 + 5*y^2"
 
 
+def test_decompose_incomplete_exit_code(capsys, gens_file, monkeypatch):
+    """A depth or budget overrun is an unfinished decomposition (exit 2),
+    not an input error (exit 1)."""
+    import idealdec.cli as cli_mod
+    from idealdec.decompose import DecompositionIncomplete
+
+    def overrun(I, **kwargs):
+        raise DecompositionIncomplete("decomposition recursion depth exceeded")
+
+    monkeypatch.setattr(cli_mod, "gtz_decompose", overrun)
+    code, out, err = run(capsys, "decompose", gens_file(XYXZ))
+    assert code == EXIT_UNKNOWN
+    assert "recursion depth exceeded" in err
+
+
 # -- primality ----------------------------------------------------------------
 
 
@@ -450,3 +465,18 @@ def test_runs_without_optional_packages(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0, 0]", done.stderr
     assert "verdict PRIME" in (tmp_path / "report-primality").read_text()
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "idealdec", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "decompose" in done.stdout

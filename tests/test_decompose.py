@@ -98,6 +98,24 @@ def test_zero_dim_galois_conjugates_need_linear_forms(rxy):
     assert "x - y" in seen and "x + y" in seen
 
 
+def test_zero_dim_stops_at_a_primitive_element(rxyz):
+    # y's minimal polynomial is irreducible of degree dim_Q = 4, so the
+    # quotient is a field and no linear form can split it; trying all of
+    # them anyway took 7.5 s
+    import time
+
+    I = _ideal(rxyz, "-2*y^2*z^2 + 3*x*y^2*z^2",
+               "3*x^2*y*z^2 - 2*x^2*y^2*z + 2", "z^2 + x")
+    start = time.perf_counter()
+    result = gtz_decompose(I)
+    elapsed = time.perf_counter() - start
+    assert result.complete
+    [comp] = result.components
+    assert comp.certificate == "primitive-element:y;rational-irreducible"
+    assert comp.primary.equals(I) and comp.prime.equals(I)
+    assert elapsed < 2.0
+
+
 def test_is_maximal_zero_dim_verdicts(rxy):
     good = _ideal(rxy, "x^2 + 1", "y - x")
     res = is_maximal_zero_dim(good)

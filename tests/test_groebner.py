@@ -137,3 +137,54 @@ def test_against_sympy_oracle(rxyz):
             ours = {normalize_assoc(g) for g in G.elements}
             theirs = {normalize_assoc(from_sympy(e)) for e in ref.exprs}
             assert ours == theirs, (order_name, ours_texts)
+
+
+# -- pair pruning ------------------------------------------------------------
+
+KATSURA5 = [
+    "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 + 2*u5 - 1",
+    "u0^2 - u0 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 + 2*u5^2",
+    "2*u0*u1 + 2*u1*u2 - u1 + 2*u2*u3 + 2*u3*u4 + 2*u4*u5",
+    "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2 + 2*u3*u5",
+    "2*u0*u3 + 2*u1*u2 + 2*u1*u4 + 2*u2*u5 - u3",
+    "2*u0*u4 + 2*u1*u3 + 2*u1*u5 + u2^2 - u4",
+]
+
+
+def _count_spolynomials(monkeypatch, gens):
+    """The degrevlex basis of gens and the number of S-polynomials formed."""
+    import idealdec.groebner as groebner
+
+    real = groebner.spolynomial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "spolynomial", counted)
+    return buchberger(gens, degrevlex_order()), len(calls)
+
+
+def test_maximal_minors_3x9_spolynomial_count(monkeypatch):
+    # a universal Groebner basis: every surviving S-pair reduces to zero
+    from idealdec.hyperedge import HyperedgeSpec, build_hyperedge_ideal
+
+    spec = HyperedgeSpec(name="minors-3x9", rows=3, cols=9,
+                         letters=("x", "y", "z"), row_set=(1, 2, 3),
+                         hyperedges=(tuple(range(1, 10)),))
+    gens = build_hyperedge_ideal(spec).generators
+    assert len(gens) == 84
+    G, count = _count_spolynomials(monkeypatch, gens)
+    assert len(G) == 84
+    assert count <= 378
+
+
+def test_katsura5_spolynomial_count(monkeypatch):
+    from idealdec.domains import QQ
+    from idealdec.rings import PolyRing
+
+    ring = PolyRing(tuple(f"u{i}" for i in range(6)), QQ)
+    G, count = _count_spolynomials(monkeypatch, [ring.parse(t) for t in KATSURA5])
+    assert len(G) == 22
+    assert count <= 66

@@ -5,6 +5,11 @@ basis under lex and degrevlex must equal sympy's made monic, and normal
 forms must equal the remainder of ``sympy.reduced``.  In the explicit
 normal-form examples a term cancels during reduction and is created again
 before it is popped, which is the path of the reducer's lazy deletion.
+
+Under random two-block orders, and for localized bases, the check is
+internal: ``is_groebner_basis`` reduces every S-polynomial with no pair
+pruned, and a localized basis must be drawn from the reduced basis under
+its block order.
 """
 
 from fractions import Fraction
@@ -14,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealdec.domains import QQ, PrimeField
-from idealdec.groebner import buchberger
-from idealdec.orders import degrevlex_order, lex_order
+from idealdec.groebner import buchberger, is_groebner_basis
+from idealdec.orders import block_order, degrevlex_order, lex_order
 from idealdec.rings import PolyRing
 
 sympy = pytest.importorskip("sympy")
@@ -118,3 +123,35 @@ def test_normal_form_matches_sympy_remainder(gens, target, order_name, modulus):
     _, remainder = sympy.reduced(_to_sympy(target), list(ref.exprs), X, Y, Z,
                                  **options)
     assert G.normal_form(ring.poly(target)) == _from_sympy(ring, remainder)
+
+
+# a two-block order: a nonempty proper subset of the variables in front,
+# each block lex or degrevlex
+_blocks = st.tuples(
+    st.permutations(range(3)), st.integers(1, 2),
+    st.sampled_from(["lex", "degrevlex"]), st.sampled_from(["lex", "degrevlex"]),
+)
+
+
+@_settings
+@given(gens=_gens, blocks=_blocks, modulus=_modulus)
+def test_block_order_basis_passes_unpruned_check(gens, blocks, modulus):
+    ring = _ring(modulus)
+    perm, cut, front_kind, back_kind = blocks
+    order = block_order([(tuple(sorted(perm[:cut])), front_kind),
+                         (tuple(sorted(perm[cut:])), back_kind)])
+    G = buchberger([ring.poly(t) for t in gens], order)
+    assert is_groebner_basis(G.elements, order)
+
+
+@_settings
+@given(gens=_gens, order_name=_order, modulus=_modulus,
+       u=st.sets(st.integers(0, 2), min_size=1, max_size=2))
+def test_localized_basis_is_drawn_from_the_block_basis(gens, order_name,
+                                                       modulus, u):
+    ring = _ring(modulus)
+    polys = [ring.poly(t) for t in gens]
+    L = buchberger(polys, ORDERS[order_name], localized_vars=u)
+    full = buchberger(polys, L.computation_order)
+    assert is_groebner_basis(full.elements, L.computation_order)
+    assert set(L.elements) <= set(full.elements)
