@@ -3,8 +3,9 @@
 Every coefficient in the package is either a ``fractions.Fraction`` (over Q)
 or a ``ModInt`` (over GF(p)).  Both support ordinary operator arithmetic, so
 polynomial code never branches on the domain; the domain object itself is
-only consulted for construction, parsing and printing.  No floating point is
-used anywhere.
+only consulted for construction, parsing and printing.  The one exception is
+Groebner reduction, which runs on plain ints and reads the domain's
+characteristic (see ``groebner``).  No floating point is used anywhere.
 """
 
 from __future__ import annotations

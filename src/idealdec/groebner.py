@@ -19,23 +19,36 @@ divides form no further pairs, though they still reduce.  Reduced bases
 over a field are unique for a fixed order, which the test-suite exploits
 heavily.
 
-Leading data is computed once per basis element: ``buchberger`` keeps, next
-to each monic element, an entry (leading exponents, tail terms) that
-S-polynomials, reduction and interreduction all read, and the finished
-basis is built from the entries of its elements, which its leading-data
-views and ``normal_form`` read.  Normal forms exist for plain bases only;
-a localized basis raises ``GroebnerError`` for them.  ``_reduce_full`` pops
-terms greatest first from a heap keyed by the order's compiled
-``lead_key``; each monomial is pushed once, when it enters the work dict.
-Over GF(p) the same code runs on ``ModInt`` coefficients.
+Reduction runs on plain ``int`` coefficients, fraction-free, in both
+fields.  Each basis element is held as an integer entry (leading
+exponents, a, tail): over Q the element's primitive integer multiple with
+leading coefficient a > 0, over GF(p) the monic element as residues, a = 1.
+Leading data is computed once per element, when its entry is made.
+S-polynomials, reduction, interreduction, ``normal_form`` and
+``is_groebner_basis`` all read entries; the finished basis is built from
+its entries, and its elements are the only field (``Fraction`` or
+``ModInt``) polynomials the module makes.  ``_reduce`` pops terms greatest
+first from a heap keyed by the order's compiled ``lead_key``, each monomial
+pushed once, when it enters the work dict.  A popped term c x^e with a
+reducer (lead, a, tail), lead | e, is cancelled by scaling the work dict
+by a / gcd(a, c) and subtracting (c / gcd(a, c)) x^(e - lead) tail, the
+fraction-free reduction of Singular (Greuel and Pfister, *A Singular
+Introduction to Commutative Algebra*); over GF(p) c is taken mod p when it
+is popped, so residues grow unreduced until then.  The product of the
+scale factors is returned with the remainder, so normal forms stay exact.
+Normal forms exist for plain bases only; a localized basis raises
+``GroebnerError`` for them.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .domains import ModInt
 from .orders import BLOCK, MonomialOrder, OrderError, block_order, degrevlex_order
 from .rings import Polynomial, PolyRing, RingError
 
@@ -58,50 +71,96 @@ def _lcm_exps(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-# A basis entry is (lead_exps, tail): the leading exponents of a nonzero
-# polynomial and its other terms divided by the leading coefficient, as a
-# list of (exps, coeff).  Entries are built once per element and order.
-Entry = Tuple[Exponents, List[Tuple[Exponents, object]]]
+# A basis entry is (lead_exps, a, tail): the leading exponents and leading
+# coefficient of an integer multiple of a nonzero polynomial, and its other
+# terms as a list of (exps, int).  Over Q the multiple is the primitive one
+# with a > 0; over GF(p) it is the monic polynomial as residues, a = 1.
+Entry = Tuple[Exponents, int, List[Tuple[Exponents, int]]]
 
 
-def _entry(p: Polynomial, order: MonomialOrder) -> Entry:
-    lc, lead = p.leading_data(order)
-    tail = [(e, c) for e, c in p.terms.items() if e != lead]
-    if lc != p.ring.domain.one:
-        tail = [(e, c / lc) for e, c in tail]
-    return lead, tail
+def _integer_terms(f: Polynomial) -> Tuple[Dict[Exponents, int], int]:
+    """The integer terms of D times f, and D: over Q the lcm of the
+    denominators, over GF(p) 1, with the residues as terms."""
+    if f.ring.domain.characteristic:
+        return {e: c.value for e, c in f.terms.items()}, 1
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
 
 
-def spolynomial(
-    f: Polynomial,
-    g: Polynomial,
-    order: MonomialOrder,
-    entries: Optional[Tuple[Entry, Entry]] = None,
-) -> Polynomial:
-    """The S-polynomial of f and g with respect to ``order``.
+def _make_entry(terms: Dict[Exponents, int], lead: Exponents, p: int) -> Entry:
+    """The entry of the polynomial with nonzero integer terms ``terms`` and
+    leading exponents ``lead``, over GF(p) when p is nonzero."""
+    a = terms[lead]
+    if p:
+        inv = pow(a, -1, p)
+        return lead, 1, [(e, c * inv % p) for e, c in terms.items() if e != lead]
+    g = gcd(*terms.values())
+    if a < 0:
+        g = -g
+    return lead, a // g, [(e, c // g) for e, c in terms.items() if e != lead]
 
-    ``entries`` are the cached basis entries of f and g, when the caller
-    holds them; otherwise they are computed here.
+
+def _poly_entry(f: Polynomial, order: MonomialOrder) -> Entry:
+    """The entry of a nonzero polynomial under ``order``."""
+    terms = _integer_terms(f)[0]
+    return _make_entry(terms, f.leading_data(order)[1], f.ring.domain.characteristic)
+
+
+def _field_terms(
+    terms: Iterable[Tuple[Exponents, int]], den: int, p: int
+) -> Dict[Exponents, object]:
+    """The terms with coefficients c / den in the field, zeros dropped.
+
+    Over GF(p) den is always 1: entries are monic, so the reducer never
+    scales.
     """
-    if entries is None:
-        entries = (_entry(f, order), _entry(g, order))
-    (ef, tf), (eg, tg) = entries
-    lcm = _lcm_exps(ef, eg)
-
-    def shifted_tail(lead, tail):
-        m = tuple(map(sub, lcm, lead))
-        return Polynomial(f.ring, {tuple(map(add, e, m)): c for e, c in tail})
-
-    # the monic leading terms cancel, so only the tails are shifted
-    return shifted_tail(ef, tf) - shifted_tail(eg, tg)
+    if p:
+        return {e: ModInt(c, p) for e, c in terms if c % p}
+    return {e: Fraction(c, den) for e, c in terms if c}
 
 
-def _reduce_full(
-    terms: Dict[Exponents, object],
+def spolynomial(f, g, order: Optional[MonomialOrder] = None):
+    """The S-polynomial of f and g.
+
+    For polynomials f and g, with leading terms under ``order``, it is
+    returned as a polynomial.  ``buchberger`` and ``is_groebner_basis``
+    pass the entries of two basis elements instead and get the integer
+    terms that the kernel reduces: lcm(a_f, a_g) times the S-polynomial,
+    with residues left unreduced over GF(p).
+    """
+    if isinstance(f, Polynomial):
+        ef, eg = _poly_entry(f, order), _poly_entry(g, order)
+        s = spolynomial(ef, eg)
+        den = lcm(ef[1], eg[1])
+        p = f.ring.domain.characteristic
+        return Polynomial(f.ring, _field_terms(s.items(), den, p))
+    (lf, af, tf), (lg, ag, tg) = f, g
+    # (a_g/d) x^(m - lf) T_f - (a_f/d) x^(m - lg) T_g, d = gcd(a_f, a_g):
+    # the leading terms cancel, so only the tails are shifted
+    d = gcd(af, ag)
+    cf, cg = ag // d, af // d
+    m = _lcm_exps(lf, lg)
+    shift = tuple(map(sub, m, lf))
+    s = {tuple(map(add, e, shift)): cf * c for e, c in tf}
+    shift = tuple(map(sub, m, lg))
+    for e, c in tg:
+        e = tuple(map(add, e, shift))
+        s[e] = s.get(e, 0) - cg * c
+    return s
+
+
+def _reduce(
+    work: Dict[Exponents, int],
     basis: Sequence[Entry],
     order: MonomialOrder,
-) -> Dict[Exponents, object]:
-    """Full normal form of a term dict against basis entries.
+    p: int,
+) -> Tuple[Dict[Exponents, int], int]:
+    """Full normal form of integer terms against basis entries.
+
+    Returns (remainder, scale): scale times the input, less the remainder,
+    lies in the ideal of the basis, and no remainder term is divisible by
+    a leading monomial of it.  Over GF(p) (p nonzero) scale is 1 and the
+    remainder's coefficients are residues.  ``work`` is consumed.
 
     Terms are popped greatest first from a heap of ``order.lead_key``
     values.  A monomial is pushed once, when it enters the work dict; a
@@ -110,30 +169,44 @@ def _reduce_full(
     remainder, which is therefore built in descending order.
     """
     key = order.lead_key
-    work = dict(terms)
     heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
-    remainder: Dict[Exponents, object] = {}
+    remainder: Dict[Exponents, int] = {}
+    scale = 1
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e)
+        if p:
+            c %= p
         if not c:
             continue
-        for lead, tail in basis:
+        for lead, a, tail in basis:
             if all(map(le, lead, e)):
+                if a != 1:
+                    # scale by a/g, so that (c/g) x^shift times the element
+                    # cancels the term
+                    g = gcd(a, c)
+                    m = a // g
+                    c //= g
+                    if m != 1:
+                        scale *= m
+                        for t in work:
+                            work[t] *= m
+                        for t in remainder:
+                            remainder[t] *= m
                 shift = tuple(map(sub, e, lead))
                 for ge, gc in tail:
                     ne = tuple(map(add, ge, shift))
                     s = work.get(ne)
                     if s is None:
-                        work[ne] = -(c * gc)
+                        work[ne] = -c * gc
                         heapq.heappush(heap, (key(ne), ne))
                     else:
                         work[ne] = s - c * gc
                 break
         else:
             remainder[e] = c
-    return remainder
+    return remainder, scale
 
 
 class GroebnerBasis:
@@ -166,11 +239,13 @@ class GroebnerBasis:
         localized_vars: Optional[frozenset] = None,
     ):
         one = ring.domain.one
+        p = ring.domain.characteristic
         self.ring = ring
         self.order = order
         self.computation_order = computation_order
         self.elements = tuple(
-            Polynomial(ring, dict([(lead, one), *tail])) for lead, tail in entries
+            Polynomial(ring, {lead: one, **_field_terms(tail, a, p)})
+            for lead, a, tail in entries
         )
         self.localized_vars = localized_vars
         self._entries = entries
@@ -187,7 +262,7 @@ class GroebnerBasis:
         )
 
     def lead_exps(self) -> List[Exponents]:
-        return [lead for lead, _ in self._entries]
+        return [entry[0] for entry in self._entries]
 
     def localized_lead_exps(self) -> List[Exponents]:
         """Leading exponents restricted to the non-localized variables."""
@@ -203,8 +278,8 @@ class GroebnerBasis:
             return tuple(self.ring.one for _ in self.elements)
         rest = self.rest_vars
         out = []
-        for g, le in zip(self.elements, self.lead_exps()):
-            proj = tuple(le[i] for i in rest)
+        for g, lm in zip(self.elements, self.lead_exps()):
+            proj = tuple(lm[i] for i in rest)
             coeff_terms = {}
             for exps, c in g.terms.items():
                 if tuple(exps[i] for i in rest) == proj:
@@ -227,8 +302,10 @@ class GroebnerBasis:
             raise RingError("polynomial from a different ring")
         if self.localized_vars is not None:
             raise GroebnerError("a localized basis has no normal forms")
-        terms = _reduce_full(f.terms, self._entries, self.computation_order)
-        return Polynomial(self.ring, terms)
+        p = self.ring.domain.characteristic
+        terms, den = _integer_terms(f)
+        r, scale = _reduce(terms, self._entries, self.computation_order, p)
+        return Polynomial(self.ring, _field_terms(r.items(), den * scale, p))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -298,7 +375,7 @@ def _staircase_count(lead_projs: List[Exponents], nrel: int) -> int:
     return rec(0, list(range(len(minimal))), [])
 
 
-def _interreduce(entries: List[Entry], order: MonomialOrder) -> None:
+def _interreduce(entries: List[Entry], order: MonomialOrder, p: int) -> None:
     """Tail-reduce the entries of a minimal basis in place, which makes it
     the reduced basis.
 
@@ -307,8 +384,10 @@ def _interreduce(entries: List[Entry], order: MonomialOrder) -> None:
     monomial.  So one pass, each tail reduced against all entries, leaves
     no tail term divisible by any leading monomial.
     """
-    for i, (lead, tail) in enumerate(entries):
-        entries[i] = (lead, list(_reduce_full(dict(tail), entries, order).items()))
+    for i, (lead, a, tail) in enumerate(entries):
+        # scale (a x^lead + tail) = scale a x^lead + r modulo the ideal
+        r, scale = _reduce(dict(tail), entries, order, p)
+        entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
 
 
 def buchberger(
@@ -352,8 +431,7 @@ def buchberger(
         return GroebnerBasis(ring, order, comp_order, (), loc)
 
     key = comp_order.key
-    one = ring.domain.one
-    basis: List[Polynomial] = []
+    p = ring.domain.characteristic
     entries: List[Entry] = []
     lead: List[Exponents] = []
     # elements whose leading monomial no later leading monomial divides;
@@ -364,63 +442,57 @@ def buchberger(
     pairs: Dict[Tuple[int, int], Exponents] = {}
     heap: List[tuple] = []
 
-    def add_poly(terms: Dict[Exponents, object], le: Exponents) -> None:
+    def add_poly(entry: Entry) -> None:
         """Append an element and update the pairs (Gebauer-Moller)."""
-        lc = terms[le]
-        if lc != one:
-            terms = {e: c / lc for e, c in terms.items()}
-        j = len(basis)
-        basis.append(Polynomial(ring, terms))
-        entries.append((le, [t for t in terms.items() if t[0] != le]))
-        lead.append(le)
-        # criterion B: le divides lcm(i, k), but neither lcm(i, j) nor
+        lm = entry[0]
+        j = len(entries)
+        entries.append(entry)
+        lead.append(lm)
+        # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
         # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
-        for (i, k), lcm in list(pairs.items()):
-            if (_divides(le, lcm) and _lcm_exps(lead[i], le) != lcm
-                    and _lcm_exps(lead[k], le) != lcm):
+        for (i, k), m in list(pairs.items()):
+            if (_divides(lm, m) and _lcm_exps(lead[i], lm) != m
+                    and _lcm_exps(lead[k], lm) != m):
                 del pairs[i, k]
         # criteria M and F: by ascending degree, coprime pairs first, keep
         # a new pair only if no kept lcm divides its lcm; then drop the
         # coprime pairs, whose S-polynomials reduce to zero
         new = []
         for i in live:
-            lcm = _lcm_exps(lead[i], le)
-            new.append((sum(lcm), any(map(min, lead[i], le)), i, lcm))
+            m = _lcm_exps(lead[i], lm)
+            new.append((sum(m), any(map(min, lead[i], lm)), i, m))
         new.sort()
         kept: List[Exponents] = []
-        for _, shared, i, lcm in new:
-            if not any(_divides(m, lcm) for m in kept):
-                kept.append(lcm)
+        for _, shared, i, m in new:
+            if not any(_divides(k, m) for k in kept):
+                kept.append(m)
                 if shared:
-                    pairs[i, j] = lcm
-                    heapq.heappush(heap, (key(lcm), i, j))
-        live[:] = [i for i in live if not _divides(le, lead[i])]
+                    pairs[i, j] = m
+                    heapq.heappush(heap, (key(m), i, j))
+        live[:] = [i for i in live if not _divides(lm, lead[i])]
         live.append(j)
 
-    leads = [g.leading_data(comp_order)[1] for g in work]
-    for i in sorted(range(len(work)), key=lambda i: key(leads[i])):
-        add_poly(work[i].terms, leads[i])
+    for entry in sorted((_poly_entry(g, comp_order) for g in work),
+                        key=lambda entry: key(entry[0])):
+        add_poly(entry)
 
     while heap:
         _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        s = spolynomial(basis[i], basis[j], comp_order, (entries[i], entries[j]))
-        if s.is_zero():
-            continue
-        r = _reduce_full(s.terms, entries, comp_order)
+        r, _ = _reduce(spolynomial(entries[i], entries[j]), entries, comp_order, p)
         if r:
             # the remainder is built greatest term first
-            add_poly(r, next(iter(r)))
+            add_poly(_make_entry(r, next(iter(r)), p))
 
     # minimalise: drop elements whose lead is divisible by another lead
-    idxs = sorted(range(len(basis)), key=lambda i: key(lead[i]))
+    idxs = sorted(range(len(entries)), key=lambda i: key(lead[i]))
     kept: List[int] = []
     for i in idxs:
         if not any(_divides(lead[k], lead[i]) for k in kept):
             kept.append(i)
     reduced_entries = [entries[i] for i in kept]
-    _interreduce(reduced_entries, comp_order)
+    _interreduce(reduced_entries, comp_order, p)
 
     if loc is None:
         return GroebnerBasis(ring, order, comp_order, reduced_entries)
@@ -448,12 +520,10 @@ def is_groebner_basis(
     elems = [g for g in elements if not g.is_zero()]
     if not elems:
         return True
-    entries = [_entry(g, order) for g in elems]
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            s = spolynomial(elems[i], elems[j], order, (entries[i], entries[j]))
-            if s.is_zero():
-                continue
-            if _reduce_full(s.terms, entries, order):
+    p = elems[0].ring.domain.characteristic
+    entries = [_poly_entry(g, order) for g in elems]
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if _reduce(spolynomial(entries[i], entries[j]), entries, order, p)[0]:
                 return False
     return True

@@ -10,6 +10,11 @@ Under random two-block orders, and for localized bases, the check is
 internal: ``is_groebner_basis`` reduces every S-polynomial with no pair
 pruned, and a localized basis must be drawn from the reduced basis under
 its block order.
+
+Tall coefficients load the fraction-free reducer: over Q numerators and
+denominators above 2^64, so every basis and input has denominators to
+clear and reduction scales the work by large factors; over GF(32003)
+residues of full range, which grow unreduced until they are popped.
 """
 
 from fractions import Fraction
@@ -27,16 +32,16 @@ sympy = pytest.importorskip("sympy")
 
 X, Y, Z = sympy.symbols("x y z")
 ORDERS = {"lex": lex_order(), "grevlex": degrevlex_order()}
-FIELDS = {None: QQ, 7: PrimeField(7)}
+FIELDS = {None: QQ, 7: PrimeField(7), 32003: PrimeField(32003)}
 
 _coeffs = st.integers(-3, 3).filter(bool)
 
 
-def _terms(max_degree, max_terms):
+def _terms(max_degree, max_terms, coeffs=_coeffs):
     monomials = [(a, b, c) for a in range(max_degree + 1)
                  for b in range(max_degree + 1 - a)
                  for c in range(max_degree + 1 - a - b)]
-    return st.dictionaries(st.sampled_from(monomials), _coeffs,
+    return st.dictionaries(st.sampled_from(monomials), coeffs,
                            min_size=1, max_size=max_terms)
 
 
@@ -68,7 +73,8 @@ def _ring(modulus):
 
 
 def _to_sympy(terms):
-    return sum(c * X**a * Y**b * Z**e for (a, b, e), c in terms.items())
+    return sum((sympy.Rational(c) * X**a * Y**b * Z**e
+                for (a, b, e), c in terms.items()), sympy.S.Zero)
 
 
 def _from_sympy(ring, expr):
@@ -155,3 +161,47 @@ def test_localized_basis_is_drawn_from_the_block_basis(gens, order_name,
     full = buchberger(polys, L.computation_order)
     assert is_groebner_basis(full.elements, L.computation_order)
     assert set(L.elements) <= set(full.elements)
+
+
+# numerators in (2^64, 2^80], denominators products of the primes 2^89 - 1
+# and 2^107 - 1: every fraction is in lowest terms as drawn
+_MERSENNE = (2**89 - 1, 2**107 - 1)
+_tall_rationals = st.builds(
+    lambda n, negative, d: Fraction(-n if negative else n, d),
+    st.integers(2**64 + 1, 2**80), st.booleans(),
+    st.sampled_from([*_MERSENNE, _MERSENNE[0] * _MERSENNE[1]]),
+)
+
+
+def _tall_case(modulus):
+    coeffs = _tall_rationals if modulus is None else st.integers(1, modulus - 1)
+    return st.tuples(st.just(modulus),
+                     st.lists(_terms(2, 4, coeffs), min_size=2, max_size=3),
+                     _terms(3, 5, coeffs))
+
+
+def _sympy_expr(f):
+    """A polynomial of the ring as a sympy expression."""
+    return _to_sympy({e: getattr(c, "value", c) for e, c in f.terms.items()})
+
+
+@_settings
+@given(case=st.sampled_from([None, 32003]).flatmap(_tall_case),
+       order_name=_order)
+def test_tall_coefficients_match_sympy(case, order_name):
+    modulus, gens, target = case
+    ring = _ring(modulus)
+    order = ORDERS[order_name]
+    G = buchberger([ring.poly(t) for t in gens], order)
+    options = _sympy_options(order_name, modulus)
+    ref = sympy.groebner([_sympy_expr(ring.poly(t)) for t in gens], X, Y, Z,
+                         **options)
+    theirs = [_monic(_from_sympy(ring, e), order) for e in ref.exprs]
+    assert sorted(map(str, G.elements)) == sorted(map(str, theirs))
+
+    f = ring.poly(target)
+    nf = G.normal_form(f)
+    _, remainder = sympy.reduced(_sympy_expr(f), list(ref.exprs), X, Y, Z,
+                                 **options)
+    assert nf == _from_sympy(ring, remainder)
+    assert ref.contains(_sympy_expr(f - nf))
