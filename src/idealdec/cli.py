@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "independent sets")
     i.add_argument("ideal", help="generator file")
     i.add_argument("--limit", type=int, metavar="N",
-                   help="enumerate at most N sets (positive)")
+                   help="print the first N maximal sets enumerated (positive)")
     i.add_argument("--score", action="store_true",
                    help="rank the sets by localized cost")
     common(i)
@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, metavar="S",
                         help=f"random seed (default: ${SEED_ENV} or 0)")
         sp.add_argument("--budget", type=int, metavar="N",
-                        help="cap on independent-set candidates (positive)")
+                        help="rank at most N candidate independent sets of "
+                             "size n - dim (positive)")
         common(sp)
         return sp
 

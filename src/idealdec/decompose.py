@@ -48,10 +48,9 @@ from .ideals import (
     eliminate,
     ideal_sum,
     intersect,
-    quotient,
     saturate,
 )
-from .indepsets import maximal_independent_sets, rank_independent_sets
+from .indepsets import best_independent_set
 from .orders import degrevlex_order, lex_order
 from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
 from .rings import Polynomial, PolyRing, extend_ring, fresh_name, inject, project
@@ -63,6 +62,12 @@ NOT_PRIME = "NOT_PRIME"
 MAXIMAL = "MAXIMAL"
 NOT_MAXIMAL = "NOT_MAXIMAL"
 UNKNOWN = "UNKNOWN"
+
+# how many linear forms a split and the primality check's maximality
+# certificate try after the variables, and how deep GTZ may recurse
+_SPLIT_FORMS = 8
+_PRIMALITY_FORMS = 6
+_MAX_DEPTH = 16
 
 
 class DecompositionError(Exception):
@@ -83,13 +88,12 @@ class DecompositionIncomplete(DecompositionError):
 @dataclass(frozen=True)
 class Provenance:
     """How a component was produced: the independent set used, the
-    (coefficient, exponent) saturation trail of its contraction, the
-    recursion depth, and free-form notes."""
+    (coefficient, exponent) saturation trail of its contraction, and the
+    recursion depth."""
 
     u_names: Tuple[str, ...] = ()
     saturations: Tuple[Tuple[str, int], ...] = ()
     depth: int = 0
-    notes: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -207,15 +211,10 @@ def minimal_polynomial_of_form(
 
 def _split_branches(
     I: Ideal, parts: Sequence[FactorPart], back: Callable[[Polynomial], Polynomial]
-) -> List[Tuple[Ideal, str]]:
+) -> List[Ideal]:
     """The branch ideals I + <p^mult> for coprime parts p of a minimal
     polynomial, each part mapped into I.ring by ``back`` first."""
-    out = []
-    for part in parts:
-        p = back(part.poly)
-        branch = ideal_sum(I, [p ** part.multiplicity])
-        out.append((branch, str(normalize_assoc(p))))
-    return out
+    return [ideal_sum(I, [back(part.poly) ** part.multiplicity]) for part in parts]
 
 
 def _squarefree_part_in(m: Polynomial, v: int) -> Polynomial:
@@ -311,7 +310,6 @@ def zero_dim_decompose(
     I: Ideal,
     u: Iterable[int] = (),
     seed: int = 0,
-    linear_budget: int = 8,
     _depth: int = 0,
 ) -> List[PrimaryComponent]:
     """Primary decomposition of a zero-dimensional localized ideal.
@@ -342,18 +340,15 @@ def zero_dim_decompose(
     minpolys: List[Tuple[int, Polynomial]] = []
     obligations: List[str] = []
     rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
-    for label, m, v, outcome, back in _primitive_candidates(
-        I, u, gb.rest_vars, seed, linear_budget, rng_seed
+    for _, m, v, outcome, back in _primitive_candidates(
+        I, u, gb.rest_vars, seed, _SPLIT_FORMS, rng_seed
     ):
         if m.ring == I.ring:
             minpolys.append((v, m))
         if _splits(outcome):
             comps: List[PrimaryComponent] = []
-            for branch, part in _split_branches(I, outcome.parts, back):
-                for c in zero_dim_decompose(
-                    branch, u, seed, linear_budget, _depth + 1
-                ):
-                    comps.append(_with_note(c, f"split {label} by {part}"))
+            for branch in _split_branches(I, outcome.parts, back):
+                comps.extend(zero_dim_decompose(branch, u, seed, _depth + 1))
             return comps
         part = outcome.parts[0]
         if (part.irreducible is True and part.multiplicity == 1
@@ -364,7 +359,7 @@ def zero_dim_decompose(
             obligations.append(outcome.obligation or f"factor {m}")
     # leaf: no split found anywhere
     R = _radical_zero_dim(I, u, minpolys)
-    maximality = is_maximal_zero_dim(R, u, seed, linear_budget)
+    maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
     prov = Provenance(u_names=u_names, depth=_depth)
     if maximality.status == MAXIMAL:
         return [
@@ -376,8 +371,7 @@ def zero_dim_decompose(
         # a zero divisor surfaced late; split along it and keep going
         comps = []
         for branch in _saturation_split(I, maximality.witness):
-            for c in zero_dim_decompose(branch, u, seed, linear_budget, _depth + 1):
-                comps.append(_with_note(c, f"split by witness {maximality.witness}"))
+            comps.extend(zero_dim_decompose(branch, u, seed, _depth + 1))
         if comps:
             return comps
     obligation = maximality.obligation or "; ".join(obligations[:3])
@@ -390,11 +384,6 @@ def zero_dim_decompose(
             provenance=prov,
         )
     ]
-
-
-def _with_note(c: PrimaryComponent, note: str) -> PrimaryComponent:
-    prov = c.provenance
-    return replace(c, provenance=replace(prov, notes=prov.notes + (note,)))
 
 
 def _saturation_split(I: Ideal, h: Polynomial) -> List[Ideal]:
@@ -485,18 +474,6 @@ def _contract_component(
     return replace(c, primary=primary, prime=prime, provenance=prov)
 
 
-def _best_independent_set(
-    I: Ideal, dim: int, budget: Optional[int]
-) -> Tuple[int, ...]:
-    """The best-ranked maximal independent set of size dim among at most
-    ``budget`` enumerated candidates."""
-    candidates = [
-        us for us in maximal_independent_sets(I.groebner(), limit=budget)
-        if len(us) == dim
-    ]
-    return tuple(sorted(rank_independent_sets(I, candidates).best().u))
-
-
 def _dedupe(components: List[PrimaryComponent]) -> List[PrimaryComponent]:
     seen = {}
     for c in components:
@@ -549,8 +526,6 @@ def gtz_decompose(
     I: Ideal,
     seed: int = 0,
     budget: Optional[int] = None,
-    linear_budget: int = 8,
-    max_depth: int = 16,
 ) -> DecompositionResult:
     """Primary decomposition of an arbitrary ideal over the rationals.
 
@@ -560,7 +535,7 @@ def gtz_decompose(
     multiple of the localized leading coefficients, m the saturation
     exponent) is decomposed recursively.  Components are deduplicated and
     pruned to an irredundant intersection.  ``budget`` caps how many
-    candidate independent sets are enumerated at each level.
+    candidate independent sets of size dim are ranked at each level.
 
     The zero ideal, which is prime, is its own single component (certificate
     ``zero-ideal``); the unit ideal has no components.
@@ -570,7 +545,7 @@ def gtz_decompose(
         return DecompositionResult(
             I, (PrimaryComponent(I, I, True, certificate="zero-ideal"),), True
         )
-    comps = _dedupe(_gtz(I, seed, budget, linear_budget, 0, max_depth))
+    comps = _dedupe(_gtz(I, seed, budget, 0))
     if not I.is_trivial():
         comps = _prune_redundant(I, comps)
     comps.sort(key=lambda c: (len(c.primary.canonical_generators()),
@@ -580,14 +555,9 @@ def gtz_decompose(
 
 
 def _gtz(
-    I: Ideal,
-    seed: int,
-    budget: Optional[int],
-    linear_budget: int,
-    depth: int,
-    max_depth: int,
+    I: Ideal, seed: int, budget: Optional[int], depth: int
 ) -> List[PrimaryComponent]:
-    if depth > max_depth:
+    if depth > _MAX_DEPTH:
         raise DecompositionIncomplete("decomposition recursion depth exceeded")
     if I.is_trivial():
         return []
@@ -595,11 +565,11 @@ def _gtz(
 
     dim = dimension(I)
     if dim == 0:
-        comps = zero_dim_decompose(I, (), seed, linear_budget)
+        comps = zero_dim_decompose(I, (), seed)
         return [replace(c, provenance=replace(c.provenance, depth=depth))
                 for c in comps]
-    u = _best_independent_set(I, dim, budget)
-    local = zero_dim_decompose(I, u, seed, linear_budget)
+    u = best_independent_set(I, dim, budget)
+    local = zero_dim_decompose(I, u, seed)
     # when the localized ideal is already primary, local is [I] itself and
     # the contraction below is exactly the saturation shortcut
     out: List[PrimaryComponent] = [
@@ -614,9 +584,7 @@ def _gtz(
         m = saturate(I, h).exponent
         if m > 0:
             remainder = ideal_sum(I, [h ** m])
-            out.extend(
-                _gtz(remainder, seed, budget, linear_budget, depth + 1, max_depth)
-            )
+            out.extend(_gtz(remainder, seed, budget, depth + 1))
     return out
 
 
@@ -661,15 +629,10 @@ def coefficient_orbits(
     return uf.classes()
 
 
-def _stable_under_quotient(I: Ideal, c: Polynomial) -> bool:
-    return quotient(I, c).equals(I)
-
-
 def primality_check(
     I: Ideal,
     symmetries: Sequence[SymmetryAction] = (),
     seed: int = 0,
-    linear_budget: int = 6,
     u: Optional[Iterable[int]] = None,
     budget: Optional[int] = None,
 ) -> PrimalityVerdict:
@@ -680,8 +643,8 @@ def primality_check(
     localized basis; both halves are checked, the latter once per symmetry
     orbit of the coefficients.  ``u`` overrides the ranked choice of
     independent set (it must be independent of full cardinality, e.g. one
-    preserved by the symmetries); ``budget`` caps how many candidate sets
-    the ranked choice may enumerate.  The zero ideal is PRIME and the unit
+    preserved by the symmetries); ``budget`` caps how many candidate sets of
+    size dim the ranked choice may rank.  The zero ideal is PRIME and the unit
     ideal NOT_PRIME, each with a one-line detail.
     """
     _require_rationals(I, "the primality check")
@@ -700,10 +663,10 @@ def primality_check(
     elif dim == 0:
         u = ()
     else:
-        u = _best_independent_set(I, dim, budget)
+        u = best_independent_set(I, dim, budget)
     u_names = tuple(I.ring.names[i] for i in u)
     details.append("u=" + (",".join(u_names) if u_names else "-"))
-    maximality = is_maximal_zero_dim(I, u, seed, linear_budget)
+    maximality = is_maximal_zero_dim(I, u, seed, _PRIMALITY_FORMS)
     details.append(f"localized-maximality={maximality.status}")
     if maximality.certificate:
         details.append(f"certificate={maximality.certificate}")
@@ -719,7 +682,8 @@ def primality_check(
     witness = None
     for orbit in orbits:
         c = cs[orbit[0]]
-        ok = _stable_under_quotient(I, c)
+        # I : c = I exactly when I : c^inf = I, as I <= I : c <= I : c^inf
+        ok = saturate(I, c).exponent == 0
         details.append(
             f"c={c} orbit_size={len(orbit)} stable={'yes' if ok else 'no'}"
         )

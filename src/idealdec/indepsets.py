@@ -5,18 +5,26 @@ A set u of variables is independent for I when no leading monomial of the
 exactly the complements of minimal hitting sets of the leading-monomial
 supports.  The Krull dimension is the largest cardinality among them.
 
+``minimal_hitting_sets`` enumerates the minimal hitting sets lazily: every
+set it yields is inclusion-minimal and no set is yielded twice, so callers
+cap the stream with ``itertools.islice`` and never hold more than they use.
+
 Scoring a maximal independent set u means computing the minimal localized
 basis of I over K(u), the vector-space dimension d_u of the localized
 quotient, and the degrees/term counts of the K[u]-leading coefficients --
 the quantities that drive both the cost of a zero-dimensional decomposition
 over K(u) and the cost of contracting the result back.  Ranking prefers
 small d_u, then small coefficient degree, then few coefficient terms.
+``best_independent_set`` picks the set at which GTZ and the primality check
+localize: the best-ranked of the first ``budget`` minimal hitting sets of
+size n - dim(I), complemented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis
 from .orders import degrevlex_order
@@ -70,38 +78,44 @@ def min_hitting_set_size(supports: Sequence[FrozenSet[int]]) -> int:
 
 
 def minimal_hitting_sets(
-    supports: Sequence[FrozenSet[int]], limit: Optional[int] = None
-) -> List[FrozenSet[int]]:
-    """All inclusion-minimal hitting sets (up to ``limit`` of them)."""
+    supports: Sequence[FrozenSet[int]],
+) -> Iterator[FrozenSet[int]]:
+    """Every inclusion-minimal hitting set of ``supports``, each once, lazily.
+
+    Depth first: branch on the variables of the smallest unhit support (ties
+    by sorted indices).  Each branch bans the variables its earlier siblings
+    took, so no set is reached twice; a support that the bans leave empty
+    becomes the next pivot and ends the branch.  A branch also ends as soon
+    as some chosen variable no longer hits a support on its own; that never
+    cuts a minimal set, and it makes every set reached minimal.
+    """
     if any(not s for s in supports):
         raise ValueError("empty support: the ideal contains a unit")
-    if not supports:
-        return [frozenset()]
-    found: List[FrozenSet[int]] = []
+    containing: dict = {}
+    for s in supports:
+        for v in s:
+            containing.setdefault(v, []).append(s)
 
-    def rec(unhit: List[FrozenSet[int]], chosen: set) -> bool:
-        if limit is not None and len(found) >= limit:
-            return True
+    def hits_alone(w: int, chosen: FrozenSet[int]) -> bool:
+        others = chosen - {w}
+        return any(not (s & others) for s in containing[w])
+
+    def rec(
+        unhit: List[FrozenSet[int]], chosen: FrozenSet[int]
+    ) -> Iterator[FrozenSet[int]]:
         if not unhit:
-            found.append(frozenset(chosen))
-            return limit is not None and len(found) >= limit
+            yield chosen
+            return
         pivot = min(unhit, key=lambda s: (len(s), sorted(s)))
+        banned: set = set()
         for v in sorted(pivot):
-            chosen.add(v)
-            if rec([s for s in unhit if v not in s], chosen):
-                chosen.discard(v)
-                return True
-            chosen.discard(v)
-        return False
+            # v hits the pivot alone; only the earlier choices can lose
+            grown = chosen | {v}
+            if all(hits_alone(w, grown) for w in chosen):
+                yield from rec([s - banned for s in unhit if v not in s], grown)
+            banned.add(v)
 
-    rec(list(supports), set())
-    # the branching can emit proper supersets of other answers; keep minimal
-    by_size = sorted(set(found), key=lambda s: (len(s), sorted(s)))
-    minimal: List[FrozenSet[int]] = []
-    for s in by_size:
-        if not any(t < s for t in minimal):
-            minimal.append(s)
-    return minimal
+    return rec(list(supports), frozenset())
 
 
 def is_independent(u: Iterable[int], G: GroebnerBasis) -> bool:
@@ -116,19 +130,18 @@ def is_independent(u: Iterable[int], G: GroebnerBasis) -> bool:
 def maximal_independent_sets(
     G: GroebnerBasis, limit: Optional[int] = None
 ) -> List[FrozenSet[int]]:
-    """Inclusion-maximal independent sets, largest first.
+    """Inclusion-maximal independent sets (the first ``limit`` enumerated),
+    largest first.
 
     These are the complements of the minimal hitting sets of the leading
     supports; ties in size are broken by the sorted index tuple, so the
     output order is deterministic.
     """
-    nvars = G.ring.nvars
     if G.elements and G.is_trivial():
         return []
-    supports = minimal_supports(G.lead_exps())
-    hitters = minimal_hitting_sets(supports, limit)
-    everything = frozenset(range(nvars))
-    out = [everything - h for h in hitters]
+    everything = frozenset(range(G.ring.nvars))
+    hitters = minimal_hitting_sets(minimal_supports(G.lead_exps()))
+    out = [everything - h for h in islice(hitters, limit)]
     out.sort(key=lambda u: (-len(u), sorted(u)))
     return out
 
@@ -192,16 +205,28 @@ class IndepSetRanking:
 
 
 def rank_independent_sets(
-    I: "Ideal",
-    candidates: Optional[Sequence[Iterable[int]]] = None,
-    budget: Optional[int] = None,
+    I: "Ideal", candidates: Optional[Sequence[Iterable[int]]] = None
 ) -> IndepSetRanking:
-    """Score candidate sets (default: enumerated maximal independent sets,
-    capped by ``budget``) and rank them cheapest-first."""
+    """Score candidate sets (default: every maximal independent set) and
+    rank them cheapest-first."""
     if candidates is None:
-        candidates = maximal_independent_sets(I.groebner(), limit=budget)
-    elif budget is not None:
-        candidates = list(candidates)[:budget]
+        candidates = maximal_independent_sets(I.groebner())
     reports = [score_independent_set(I, u) for u in candidates]
     reports.sort(key=lambda r: r.sort_key())
     return IndepSetRanking(tuple(reports))
+
+
+def best_independent_set(
+    I: "Ideal", dim: int, budget: Optional[int] = None
+) -> Tuple[int, ...]:
+    """The best-ranked maximal independent set of size ``dim`` (the Krull
+    dimension of I, at least 1) among the first ``budget`` enumerated
+    candidates of that size (all of them when ``budget`` is None)."""
+    nvars = I.ring.nvars
+    hitters = (
+        h for h in minimal_hitting_sets(minimal_supports(I.groebner().lead_exps()))
+        if len(h) == nvars - dim
+    )
+    everything = frozenset(range(nvars))
+    candidates = [tuple(sorted(everything - h)) for h in islice(hitters, budget)]
+    return rank_independent_sets(I, candidates).best().u

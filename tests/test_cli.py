@@ -170,6 +170,32 @@ def test_indepsets_limit(capsys, gens_file):
     assert "sets 1" in out.splitlines()
 
 
+PATH_EDGES = "ring Q[a,b,c,d]\na*b\nb*c\nc*d\n"
+
+
+def test_indepsets_limit_prints_a_maximal_set(capsys, gens_file):
+    # the independent sets are {a,c}, {a,d}, {b,d}; {d} alone is not maximal
+    code, out, err = run(capsys, "indepsets", gens_file(PATH_EDGES), "--limit", "1")
+    assert code == EXIT_OK
+    sets = [line for line in out.splitlines() if line.startswith("u=")]
+    assert len(sets) == 1 and sets[0] in ("u=a,c", "u=a,d", "u=b,d")
+
+
+def test_budget_one_still_finds_an_independent_set(capsys, gens_file):
+    path = gens_file(PATH_EDGES)
+    code, out, err = run(capsys, "decompose", path, "--budget", "1")
+    assert code == EXIT_OK and err == ""
+    primes: dict = {}
+    for line in out.splitlines():
+        words = line.split()
+        if words[0] == "component" and words[2] == "prime":
+            primes.setdefault(words[1], set()).add(words[3])
+    assert sorted(map(sorted, primes.values())) == [["a", "c"], ["b", "c"], ["b", "d"]]
+    code, out, err = run(capsys, "primality", path, "--budget", "1")
+    assert code == EXIT_OK and err == ""
+    assert "verdict NOT_PRIME" in out.splitlines()
+
+
 # -- decompose ----------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 """Independent sets: hitting-set enumeration, scoring, ranking."""
 
+from idealdec import indepsets
+from idealdec.hyperedge import HyperedgeSpec, build_hyperedge_ideal
 from idealdec.ideals import Ideal, dimension
 from idealdec.indepsets import (
     IndepSetReport,
+    best_independent_set,
     is_independent,
     maximal_independent_sets,
     min_hitting_set_size,
@@ -27,6 +30,16 @@ def test_hitting_sets():
     assert min_hitting_set_size(supports) == 2
     hitters = minimal_hitting_sets(supports)
     assert sorted(sorted(h) for h in hitters) == [[0, 2], [1, 2]]
+
+
+def test_maximal_independent_sets_of_3x9_minors():
+    # the initial complex of the maximal minors is pure: C(9, 2) facets
+    spec = HyperedgeSpec(name="minors-3x9", rows=3, cols=9,
+                         letters=("x", "y", "z"), row_set=(1, 2, 3),
+                         hyperedges=(tuple(range(1, 10)),))
+    sets = maximal_independent_sets(build_hyperedge_ideal(spec).groebner())
+    assert len(sets) == 36
+    assert {len(u) for u in sets} == {20}
 
 
 def test_maximal_independent_sets_of_monomial_ideal(rxyz):
@@ -92,12 +105,22 @@ def test_ranking_refines_dominance(rxyz):
                 assert a.sort_key() < b.sort_key()
 
 
-def test_rank_respects_budget(rxyz):
+def test_rank_respects_budget(rxyz, monkeypatch):
     I = _ideal(rxyz, "x*y*z")
-    full = rank_independent_sets(I)
-    capped = rank_independent_sets(I, budget=1)
-    assert len(full.reports) == 3
-    assert len(capped.reports) == 1
+    scored = []
+    real = indepsets.score_independent_set
+
+    def counted(I, u):
+        scored.append(tuple(u))
+        return real(I, u)
+
+    monkeypatch.setattr(indepsets, "score_independent_set", counted)
+    full = best_independent_set(I, 2)
+    assert len(scored) == 3
+    scored.clear()
+    capped = best_independent_set(I, 2, budget=1)
+    assert scored == [capped]
+    assert full == (0, 1)  # the sets tie; the names break it
 
 
 def test_report_lines_are_deterministic(rxyz):

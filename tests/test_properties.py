@@ -9,12 +9,16 @@
   included;
 * random text fed to the parser raises nothing but ``ParseError`` or
   ``DomainError``, and the command line turns a rejected line into exit
-  code 1 with an ``idealdec: error:`` message.
+  code 1 with an ``idealdec: error:`` message;
+* ``minimal_hitting_sets`` of up to 8 supports over at most 8 variables
+  yields every inclusion-minimal hitting set that a search over all
+  subsets finds, each exactly once.
 """
 
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from idealdec.cli import EXIT_ERROR, EXIT_OK, main
 from idealdec.domains import QQ, DomainError, PrimeField
 from idealdec.factorize import factor_rational_univariate
+from idealdec.indepsets import minimal_hitting_sets
 from idealdec.polygcd import normalize_assoc, poly_gcd
 from idealdec.rings import ParseError, PolyRing
 
@@ -210,3 +215,28 @@ def test_junk_text_is_rejected_cleanly(text, modulus, tmp_path_factory):
         assert "Traceback" not in err.getvalue()
     else:
         assert (code, err.getvalue()) == (EXIT_OK, "")
+
+
+# -- minimal hitting sets -------------------------------------------------------
+
+
+def _brute_minimal_hitting_sets(supports, nvars):
+    hitting = [
+        frozenset(c)
+        for k in range(nvars + 1)
+        for c in combinations(range(nvars), k)
+        if all(s & frozenset(c) for s in supports)
+    ]
+    return {h for h in hitting if not any(g < h for g in hitting)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=8),
+)))
+def test_minimal_hitting_sets_match_brute_force(case):
+    nvars, supports = case
+    got = list(minimal_hitting_sets(supports))
+    assert len(got) == len(set(got))  # each set once
+    assert set(got) == _brute_minimal_hitting_sets(supports, nvars)
