@@ -12,6 +12,7 @@ emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import signal
 import sys
@@ -332,7 +333,13 @@ def _cmd_verify(args, sink: List[str]) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every ``main`` call shares it, so it must not be changed: each
+    ``parse_args`` call fills a new namespace from the same defaults.
+    """
     parser = _Parser(
         prog="idealdec",
         description="Exact primary decomposition and hyperedge-ideal tools.",

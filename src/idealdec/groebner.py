@@ -36,6 +36,21 @@ fraction-free reduction of Singular (Greuel and Pfister, *A Singular
 Introduction to Commutative Algebra*); over GF(p) c is taken mod p when it
 is popped, so residues grow unreduced until then.  The product of the
 scale factors is returned with the remainder, so normal forms stay exact.
+
+Every divisibility test between monomials first tries their support masks
+(the short exponent vectors of Singular; Bachmann and Schonemann,
+*Monomial representations for Groebner bases computations*, ISSAC 1998).
+Bit i of a mask is set iff variable i occurs, so a | b needs
+``mask_a & ~mask_b == 0``.  An entry carries the mask of its leading
+monomial, made with the entry; a queued pair carries the mask of its lcm,
+``mask_i | mask_j``; ``_reduce`` takes the mask of each popped term once.
+The reducer's divisor scan, criteria B, M and F, and the ``live`` filter
+skip a candidate whose mask test fails, and two elements are coprime iff
+``mask_i & mask_j == 0``.  A mask is a prefilter only: a zero
+``mask_a & ~mask_b`` decides nothing, ``_divides`` still does, and the
+first divisor in basis order is still the one used, so remainders, pair
+counts and bases are exactly those of the plain scans.
+
 Normal forms exist for plain bases only; a localized basis raises
 ``GroebnerError`` for them.
 """
@@ -44,6 +59,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cache
+from itertools import compress
 from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,11 +88,29 @@ def _lcm_exps(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-# A basis entry is (lead_exps, a, tail): the leading exponents and leading
-# coefficient of an integer multiple of a nonzero polynomial, and its other
-# terms as a list of (exps, int).  Over Q the multiple is the primitive one
-# with a > 0; over GF(p) it is the monic polynomial as residues, a = 1.
-Entry = Tuple[Exponents, int, List[Tuple[Exponents, int]]]
+@cache
+def _bits(nvars: int) -> Tuple[int, ...]:
+    """1 << i for each of nvars variables; ``sum(compress(bits, e))`` is the
+    support mask of e."""
+    return tuple(1 << i for i in range(nvars))
+
+
+def _support(e: Exponents) -> int:
+    """The support mask of e: bit i is set iff e[i] is nonzero.
+
+    If a divides b, the mask of a lies inside the mask of b, so a nonzero
+    ``mask_a & ~mask_b`` proves that a does not divide b.  A zero one proves
+    nothing: ``_divides`` still decides.
+    """
+    return sum(compress(_bits(len(e)), e))
+
+
+# A basis entry is (lead_exps, mask, a, tail): the leading exponents, their
+# support mask and the leading coefficient of an integer multiple of a
+# nonzero polynomial, and its other terms as a list of (exps, int).  Over Q
+# the multiple is the primitive one with a > 0; over GF(p) it is the monic
+# polynomial as residues, a = 1.
+Entry = Tuple[Exponents, int, int, List[Tuple[Exponents, int]]]
 
 
 def _integer_terms(f: Polynomial) -> Tuple[Dict[Exponents, int], int]:
@@ -91,13 +126,14 @@ def _make_entry(terms: Dict[Exponents, int], lead: Exponents, p: int) -> Entry:
     """The entry of the polynomial with nonzero integer terms ``terms`` and
     leading exponents ``lead``, over GF(p) when p is nonzero."""
     a = terms[lead]
+    mask = _support(lead)
     if p:
         inv = pow(a, -1, p)
-        return lead, 1, [(e, c * inv % p) for e, c in terms.items() if e != lead]
+        return lead, mask, 1, [(e, c * inv % p) for e, c in terms.items() if e != lead]
     g = gcd(*terms.values())
     if a < 0:
         g = -g
-    return lead, a // g, [(e, c // g) for e, c in terms.items() if e != lead]
+    return lead, mask, a // g, [(e, c // g) for e, c in terms.items() if e != lead]
 
 
 def _poly_entry(f: Polynomial, order: MonomialOrder) -> Entry:
@@ -131,10 +167,10 @@ def spolynomial(f, g, order: Optional[MonomialOrder] = None):
     if isinstance(f, Polynomial):
         ef, eg = _poly_entry(f, order), _poly_entry(g, order)
         s = spolynomial(ef, eg)
-        den = lcm(ef[1], eg[1])
+        den = lcm(ef[2], eg[2])
         p = f.ring.domain.characteristic
         return Polynomial(f.ring, _field_terms(s.items(), den, p))
-    (lf, af, tf), (lg, ag, tg) = f, g
+    (lf, _, af, tf), (lg, _, ag, tg) = f, g
     # (a_g/d) x^(m - lf) T_f - (a_f/d) x^(m - lg) T_g, d = gcd(a_f, a_g):
     # the leading terms cancel, so only the tails are shifted
     d = gcd(af, ag)
@@ -171,6 +207,7 @@ def _reduce(
     key = order.lead_key
     heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
+    bits = _bits(len(heap[0][1])) if heap else ()
     remainder: Dict[Exponents, int] = {}
     scale = 1
     while heap:
@@ -180,8 +217,10 @@ def _reduce(
             c %= p
         if not c:
             continue
-        for lead, a, tail in basis:
-            if all(map(le, lead, e)):
+        # the variables absent from e: a lead with one of them is no divisor
+        out = ~sum(compress(bits, e))
+        for lead, mask, a, tail in basis:
+            if not mask & out and all(map(le, lead, e)):
                 if a != 1:
                     # scale by a/g, so that (c/g) x^shift times the element
                     # cancels the term
@@ -245,7 +284,7 @@ class GroebnerBasis:
         self.computation_order = computation_order
         self.elements = tuple(
             Polynomial(ring, {lead: one, **_field_terms(tail, a, p)})
-            for lead, a, tail in entries
+            for lead, _, a, tail in entries
         )
         self.localized_vars = localized_vars
         self._entries = entries
@@ -384,7 +423,7 @@ def _interreduce(entries: List[Entry], order: MonomialOrder, p: int) -> None:
     monomial.  So one pass, each tail reduced against all entries, leaves
     no tail term divisible by any leading monomial.
     """
-    for i, (lead, a, tail) in enumerate(entries):
+    for i, (lead, _, a, tail) in enumerate(entries):
         # scale (a x^lead + tail) = scale a x^lead + r modulo the ideal
         r, scale = _reduce(dict(tail), entries, order, p)
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
@@ -433,25 +472,29 @@ def buchberger(
     key = comp_order.key
     p = ring.domain.characteristic
     entries: List[Entry] = []
+    # the leading exponents of the entries and their support masks
     lead: List[Exponents] = []
+    masks: List[int] = []
     # elements whose leading monomial no later leading monomial divides;
     # only these form new pairs
     live: List[int] = []
-    # queued pairs (i, j), i < j, and their lcms; the heap orders them by
-    # lcm and skips a pair once it has left the dict
-    pairs: Dict[Tuple[int, int], Exponents] = {}
+    # queued pairs (i, j), i < j, and their lcms with the lcms' masks; the
+    # heap orders them by lcm and skips a pair once it has left the dict
+    pairs: Dict[Tuple[int, int], Tuple[Exponents, int]] = {}
     heap: List[tuple] = []
 
     def add_poly(entry: Entry) -> None:
         """Append an element and update the pairs (Gebauer-Moller)."""
-        lm = entry[0]
+        lm, lmask = entry[0], entry[1]
         j = len(entries)
         entries.append(entry)
         lead.append(lm)
+        masks.append(lmask)
         # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
         # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
-        for (i, k), m in list(pairs.items()):
-            if (_divides(lm, m) and _lcm_exps(lead[i], lm) != m
+        for (i, k), (m, mask) in list(pairs.items()):
+            if (not lmask & ~mask and _divides(lm, m)
+                    and _lcm_exps(lead[i], lm) != m
                     and _lcm_exps(lead[k], lm) != m):
                 del pairs[i, k]
         # criteria M and F: by ascending degree, coprime pairs first, keep
@@ -460,16 +503,22 @@ def buchberger(
         new = []
         for i in live:
             m = _lcm_exps(lead[i], lm)
-            new.append((sum(m), any(map(min, lead[i], lm)), i, m))
+            new.append((sum(m), bool(masks[i] & lmask), i, m))
         new.sort()
-        kept: List[Exponents] = []
+        kept: List[Tuple[Exponents, int]] = []
         for _, shared, i, m in new:
-            if not any(_divides(k, m) for k in kept):
-                kept.append(m)
+            mask = masks[i] | lmask
+            out = ~mask
+            for k, kmask in kept:
+                if not kmask & out and _divides(k, m):
+                    break
+            else:
+                kept.append((m, mask))
                 if shared:
-                    pairs[i, j] = m
+                    pairs[i, j] = m, mask
                     heapq.heappush(heap, (key(m), i, j))
-        live[:] = [i for i in live if not _divides(lm, lead[i])]
+        live[:] = [i for i in live
+                   if lmask & ~masks[i] or not _divides(lm, lead[i])]
         live.append(j)
 
     for entry in sorted((_poly_entry(g, comp_order) for g in work),
@@ -489,7 +538,9 @@ def buchberger(
     idxs = sorted(range(len(entries)), key=lambda i: key(lead[i]))
     kept: List[int] = []
     for i in idxs:
-        if not any(_divides(lead[k], lead[i]) for k in kept):
+        out = ~masks[i]
+        if not any(not masks[k] & out and _divides(lead[k], lead[i])
+                   for k in kept):
             kept.append(i)
     reduced_entries = [entries[i] for i in kept]
     _interreduce(reduced_entries, comp_order, p)

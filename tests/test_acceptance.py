@@ -167,6 +167,17 @@ def test_criterion_03_p1_facts():
     assert elapsed < 3600.0, f"P1 facts took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
+def test_criterion_03_p1_is_prime():
+    # P1 is prime (Hochster-Eagon): the localization at the first ranked
+    # independent set is a field, and every leading coefficient is stable
+    verdict = primality_check(all_maximal_minors_ideal(), budget=1)
+    assert verdict.status == PRIME
+    assert "certificate=dimension-1" in verdict.details
+    stability = [d for d in verdict.details if d.startswith("c=")]
+    assert stability and all(d.endswith("stable=yes") for d in stability)
+
+
 def test_criterion_04_structure_verification():
     t0 = time.perf_counter()
     gens = build_synthetic_p2_like()

@@ -1,5 +1,7 @@
 """End-to-end command line behaviour, run in process through main()."""
 
+import signal
+
 import pytest
 
 from idealdec.cli import (
@@ -8,6 +10,7 @@ from idealdec.cli import (
     EXIT_TIMEOUT,
     EXIT_UNKNOWN,
     SCHEMA_LINE,
+    build_parser,
     main,
 )
 
@@ -453,6 +456,37 @@ def test_timeout_gives_partial_log_and_code_three(capsys, tmp_path):
     assert code == EXIT_TIMEOUT
     assert out.splitlines()[0] == SCHEMA_LINE
     assert "timeout after 0.005s" in out.splitlines()[-1]
+
+
+def test_repeated_main_calls_leak_no_option(capsys, gens_file, monkeypatch):
+    """main reuses one parser per process: a run with --budget, --seed or
+    --timeout leaves nothing behind for the next run, whose report equals
+    the one made with a freshly built parser."""
+    monkeypatch.delenv("IDEALDEC_SEED", raising=False)
+    path = gens_file(PATH_EDGES)
+    runs = [
+        ("decompose", path, "--budget", "1", "--seed", "3"),
+        ("decompose", path),
+        ("primality", path, "--timeout", "60"),
+        ("primality", path),
+    ]
+
+    def reports(fresh):
+        out = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            out.append(run(capsys, *argv)[:2])
+        return out
+
+    expected = reports(fresh=True)
+    assert reports(fresh=False) == expected
+    assert build_parser() is build_parser()
+    assert [code for code, _ in expected] == [EXIT_OK] * 4
+    assert "# budget: 1" in expected[0][1] and "# seed: 3" in expected[0][1]
+    assert "# budget: none" in expected[1][1] and "# seed: 0" in expected[1][1]
+    assert expected[2] == expected[3]
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_out_flag_writes_report_file(capsys, gens_file, tmp_path):

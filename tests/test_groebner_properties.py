@@ -15,16 +15,23 @@ Tall coefficients load the fraction-free reducer: over Q numerators and
 denominators above 2^64, so every basis and input has denominators to
 clear and reduction scales the work by large factors; over GF(32003)
 residues of full range, which grow unreduced until they are popped.
+
+Support masks are a prefilter only: on exponent tuples of up to 80
+variables a mask never rules out a true divisor, and in a 72-variable ring
+whose generators use variables above bit 63 the basis is still a Groebner
+basis (unpruned check), reduces its inputs to zero, and equals the one
+computed in three variables.
 """
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealdec.domains import QQ, PrimeField
-from idealdec.groebner import buchberger, is_groebner_basis
+from idealdec.groebner import _divides, _support, buchberger, is_groebner_basis
 from idealdec.orders import block_order, degrevlex_order, lex_order
 from idealdec.rings import PolyRing
 
@@ -205,3 +212,59 @@ def test_tall_coefficients_match_sympy(case, order_name):
                                  **options)
     assert nf == _from_sympy(ring, remainder)
     assert ref.contains(_sympy_expr(f - nf))
+
+
+# support masks: exponent tuples of up to 80 variables, at most 12 nonzero
+def _exponent_triples(n):
+    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 4),
+                           max_size=12).map(
+        lambda d: tuple(d.get(i, 0) for i in range(n)))
+    return st.tuples(exps, exps, exps)
+
+
+@_settings
+@given(triple=st.integers(1, 80).flatmap(_exponent_triples))
+def test_support_mask_never_rejects_a_divisor(triple):
+    a, b, d = triple
+    multiple = tuple(map(add, a, d))
+    assert _divides(a, multiple)
+    assert not _support(a) & ~_support(multiple)
+    # coprime exactly when the masks are disjoint
+    assert (not _support(a) & _support(b)) == (not any(map(min, a, b)))
+    assert [i for i in range(len(a)) if _support(a) >> i & 1] == \
+        [i for i, e in enumerate(a) if e]
+
+
+# three of 72 variables, one below bit 63 and two above it, in increasing
+# order, so a basis in them equals the one in Q[x,y,z] or GF(7)[x,y,z]
+_WIDE = 72
+_wide_vars = st.tuples(
+    st.integers(0, 63), st.integers(64, _WIDE - 1), st.integers(64, _WIDE - 1),
+).filter(lambda v: v[1] != v[2]).map(sorted)
+
+
+@_settings
+@given(gens=_gens, positions=_wide_vars, order_name=_order, modulus=_modulus)
+def test_wide_ring_bases_use_masks_above_bit_63(gens, positions, order_name,
+                                               modulus):
+    wide = PolyRing(tuple(f"v{i}" for i in range(_WIDE)), FIELDS[modulus])
+
+    def embed(terms):
+        out = {}
+        for exps, c in terms.items():
+            e = [0] * _WIDE
+            for i, x in zip(positions, exps):
+                e[i] = x
+            out[tuple(e)] = c
+        return out
+
+    order = ORDERS[order_name]
+    polys = [wide.poly(embed(t)) for t in gens]
+    G = buchberger(polys, order)
+    assert is_groebner_basis(G.elements, order)
+    assert all(G.normal_form(f).is_zero() for f in polys)
+    small = buchberger([_ring(modulus).poly(t) for t in gens], order)
+    assert sorted(map(str, G.elements)) == sorted(
+        str(wide.poly(embed({e: getattr(c, "value", c)
+                             for e, c in g.terms.items()})))
+        for g in small.elements)
