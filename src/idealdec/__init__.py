@@ -59,6 +59,7 @@ from .ideals import (
     intersect,
     quotient,
     saturate,
+    saturation_coefficients,
     sort_saturation_coefficients,
 )
 from .indepsets import (
@@ -136,7 +137,8 @@ __all__ = [
     "is_groebner_basis", "spolynomial",
     "Ideal", "IdealError", "chained_saturation", "contract",
     "contract_with_trail", "dimension", "eliminate", "ideal_sum",
-    "intersect", "quotient", "saturate", "sort_saturation_coefficients",
+    "intersect", "quotient", "saturate", "saturation_coefficients",
+    "sort_saturation_coefficients",
     "IndepSetRanking", "IndepSetReport", "is_independent",
     "maximal_independent_sets", "rank_independent_sets",
     "score_independent_set",

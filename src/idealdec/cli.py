@@ -16,7 +16,7 @@ import functools
 import os
 import signal
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .decompose import (
     DecompositionError,
@@ -28,6 +28,7 @@ from .decompose import (
 from .files import (
     FileFormatError,
     generator_lines,
+    read_content_lines,
     read_generators,
     read_ideal,
     sha256_of_file,
@@ -41,7 +42,7 @@ from .hyperedge import (
     paper_3x12,
     verify_structure,
 )
-from .ideals import Ideal, IdealError, dimension
+from .ideals import IdealError, dimension
 from .indepsets import maximal_independent_sets, rank_independent_sets
 from .orders import OrderError, order_from_string
 from .rings import ParseError, PolyRing, format_poly, format_ring_header
@@ -96,26 +97,21 @@ def _input_line(path: str) -> str:
     return f"# input: {os.path.basename(path)} sha256={sha256_of_file(path)}"
 
 
-def _read_ideal(path: str) -> Ideal:
+_T = TypeVar("_T")
+
+
+def _read(path: str, reader: Callable[[str], _T]) -> _T:
+    """``reader(path)``, with an OSError turned into a CliError."""
     try:
-        return read_ideal(path)
+        return reader(path)
     except OSError as ex:
         raise CliError(f"cannot read {path}: {ex.strerror or ex}")
 
 
 def _read_symmetries(path: str, ring: PolyRing) -> Tuple[SymmetryAction, ...]:
     """One action per line, written in cycle notation over variable names."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as ex:
-        raise CliError(f"cannot read {path}: {ex.strerror or ex}")
     actions: List[SymmetryAction] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        hash_pos = raw.find("#")
-        text = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
-        if not text:
-            continue
+    for lineno, text in _read(path, read_content_lines):
         try:
             actions.append(
                 SymmetryAction.from_cycles(ring, text, label=f"line {lineno}")
@@ -128,20 +124,11 @@ def _read_symmetries(path: str, ring: PolyRing) -> Tuple[SymmetryAction, ...]:
 def _parse_spec_file(path: str) -> HyperedgeSpec:
     """A hyperedge spec file: ``rows``/``cols``/``letters`` and one
     ``hyperedge`` line per column set, with ``#`` comments."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as ex:
-        raise CliError(f"cannot read {path}: {ex.strerror or ex}")
     name = os.path.splitext(os.path.basename(path))[0]
     rows = cols = None
     letters: Optional[Tuple[str, ...]] = None
     hyperedges: List[Tuple[int, ...]] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        hash_pos = raw.find("#")
-        text = (raw[:hash_pos] if hash_pos >= 0 else raw).strip()
-        if not text:
-            continue
+    for lineno, text in _read(path, read_content_lines):
         parts = text.replace(",", " ").split()
         key, args = parts[0], parts[1:]
         try:
@@ -169,7 +156,6 @@ def _parse_spec_file(path: str) -> HyperedgeSpec:
             rows=rows,
             cols=cols,
             letters=letters,
-            row_set=tuple(range(1, rows + 1)),
             hyperedges=tuple(hyperedges),
         )
     except HyperedgeError as ex:
@@ -211,7 +197,7 @@ def _cmd_build(args, sink: List[str]) -> int:
 
 
 def _cmd_groebner(args, sink: List[str]) -> int:
-    I = _read_ideal(args.ideal)
+    I = _read(args.ideal, read_ideal)
     order = order_from_string(args.order, I.ring.names)
     G = I.groebner(order=order)
     sink.extend(
@@ -225,7 +211,7 @@ def _cmd_groebner(args, sink: List[str]) -> int:
 
 
 def _cmd_indepsets(args, sink: List[str]) -> int:
-    I = _read_ideal(args.ideal)
+    I = _read(args.ideal, read_ideal)
     sink.append(SCHEMA_LINE)
     sink.append("# command: indepsets")
     sink.append(_input_line(args.ideal))
@@ -250,7 +236,7 @@ def _cmd_indepsets(args, sink: List[str]) -> int:
 
 def _cmd_decompose(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
-    I = _read_ideal(args.ideal)
+    I = _read(args.ideal, read_ideal)
     sink.append(SCHEMA_LINE)
     sink.append("# command: decompose")
     sink.append(_input_line(args.ideal))
@@ -274,15 +260,14 @@ def _cmd_decompose(args, sink: List[str]) -> int:
             sink.append(f"{tag} obligation {comp.obligation}")
         for g in comp.primary.canonical_generators():
             sink.append(f"{tag} primary {format_poly(g)}")
-        if comp.prime is not None:
-            for g in comp.prime.canonical_generators():
-                sink.append(f"{tag} prime {format_poly(g)}")
+        for g in comp.prime.canonical_generators():
+            sink.append(f"{tag} prime {format_poly(g)}")
     return EXIT_OK if result.complete else EXIT_UNKNOWN
 
 
 def _cmd_primality(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
-    I = _read_ideal(args.ideal)
+    I = _read(args.ideal, read_ideal)
     symmetries: Tuple[SymmetryAction, ...] = ()
     if args.symmetry_file:
         symmetries = _read_symmetries(args.symmetry_file, I.ring)
@@ -309,10 +294,7 @@ def _cmd_primality(args, sink: List[str]) -> int:
 def _cmd_verify(args, sink: List[str]) -> int:
     if args.against != "paper-3x12":
         raise CliError(f"unknown reference {args.against!r} (only paper-3x12)")
-    try:
-        ring, polys = read_generators(args.data)
-    except OSError as ex:
-        raise CliError(f"cannot read {args.data}: {ex.strerror or ex}")
+    ring, polys = _read(args.data, read_generators)
     spec = paper_3x12()
     if tuple(ring.names) != tuple(spec.ring().names):
         raise CliError(

@@ -44,15 +44,18 @@ from .groebner import NotZeroDimensional
 from .ideals import (
     Ideal,
     IdealError,
+    contract,
     contract_with_trail,
+    dimension,
     eliminate,
     ideal_sum,
     intersect,
     saturate,
+    saturation_coefficients,
 )
 from .indepsets import best_independent_set
-from .orders import degrevlex_order, lex_order
-from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
+from .orders import degrevlex_order
+from .polygcd import exact_divide, normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
 from .rings import Polynomial, PolyRing, extend_ring, fresh_name, inject, project
 from .symmetry import SymmetryAction, UnionFind
 
@@ -104,7 +107,7 @@ class PrimaryComponent:
     certificate; otherwise ``obligation`` names what is left unproven."""
 
     primary: Ideal
-    prime: Optional[Ideal]
+    prime: Ideal
     certified: bool
     certificate: str = ""
     obligation: str = ""
@@ -221,8 +224,6 @@ def _squarefree_part_in(m: Polynomial, v: int) -> Polynomial:
     d = m.derivative(v)
     if d.is_zero():
         return m
-    from .polygcd import exact_divide
-
     g = poly_gcd(m, d)
     if g.is_constant():
         return m
@@ -451,24 +452,15 @@ def is_maximal_zero_dim(
 # the general decomposition
 
 
-def _saturation_handles(I: Ideal, u: Tuple[int, ...]) -> List[Polynomial]:
-    from .ideals import sort_saturation_coefficients
-
-    G = I.groebner(order=lex_order(), localized_vars=frozenset(u))
-    return sort_saturation_coefficients(G.leading_coefficients())
-
-
 def _contract_component(
     c: PrimaryComponent, u: Tuple[int, ...], depth: int
 ) -> PrimaryComponent:
     """Pull a localized component back to K[X] by contraction."""
     primary, trail = contract_with_trail(c.primary, u)
-    prime = c.prime
-    if prime is not None:
-        if prime.generators == c.primary.generators:
-            prime = primary
-        else:
-            prime, _ = contract_with_trail(prime, u)
+    if c.prime.generators == c.primary.generators:
+        prime = primary
+    else:
+        prime = contract(c.prime, u)
     sat = tuple((str(p), e) for p, e in trail)
     prov = replace(c.provenance, saturations=sat, depth=depth)
     return replace(c, primary=primary, prime=prime, provenance=prov)
@@ -561,8 +553,6 @@ def _gtz(
         raise DecompositionIncomplete("decomposition recursion depth exceeded")
     if I.is_trivial():
         return []
-    from .ideals import dimension
-
     dim = dimension(I)
     if dim == 0:
         comps = zero_dim_decompose(I, (), seed)
@@ -575,7 +565,7 @@ def _gtz(
     out: List[PrimaryComponent] = [
         _contract_component(c, u, depth) for c in local
     ]
-    handles = _saturation_handles(I, u)
+    handles = saturation_coefficients(I, u)
     if handles:
         h = normalize_assoc(poly_lcm_many(handles))
     else:
@@ -653,8 +643,6 @@ def primality_check(
         return PrimalityVerdict(PRIME, (), ("zero ideal",))
     if I.is_trivial():
         return PrimalityVerdict(NOT_PRIME, (), ("unit ideal",))
-    from .ideals import dimension
-
     dim = dimension(I)
     if u is not None:
         u = tuple(sorted(set(u)))
@@ -674,7 +662,7 @@ def primality_check(
         return PrimalityVerdict(
             NOT_PRIME, u_names, tuple(details), witness=maximality.witness
         )
-    cs = _saturation_handles(I, u) if u else []
+    cs = saturation_coefficients(I, u) if u else []
     orbits = (
         coefficient_orbits(cs, symmetries, I) if symmetries else
         [[i] for i in range(len(cs))]

@@ -12,7 +12,7 @@ with LF line endings.  Example::
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ideals import Ideal
 from .rings import (
@@ -36,13 +36,26 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """(line number from 1, stripped text) for each line that is not blank
+    once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = _strip(raw)
+        if text:
+            yield lineno, text
+
+
+def read_content_lines(path: str) -> List[Tuple[int, str]]:
+    """(line number from 1, stripped text) for each line of a UTF-8 text
+    file that is not blank once its ``#`` comment is cut."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return list(_content_lines(fh))
+
+
 def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomial]]:
     ring: Optional[PolyRing] = None
     polys: List[Polynomial] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = _strip(raw)
-        if not text:
-            continue
+    for lineno, text in _content_lines(lines):
         try:
             if ring is None:
                 ring = parse_ring_header(text)

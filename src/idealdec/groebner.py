@@ -451,7 +451,8 @@ def buchberger(
         if g.ring != ring:
             raise RingError("generators from different rings")
     order.validate(ring.nvars)
-    loc = frozenset(localized_vars) if localized_vars is not None else None
+    # localizing at no variable is no localization
+    loc = frozenset(localized_vars or ()) or None
     if loc is not None:
         bad = [i for i in loc if not 0 <= i < ring.nvars]
         if bad:

@@ -35,23 +35,19 @@ class HyperedgeSpec:
     """A determinantal hyperedge ideal description.
 
     ``letters`` name the rows (one variable family per row), columns are
-    indexed 1..cols, ``row_set`` picks the minor rows (all of them, here),
-    and each hyperedge is a column set: exactly ``rows`` columns mean that
-    single minor, more mean all rows-subsets of the set, in subset-lex
-    order."""
+    indexed 1..cols, and each hyperedge is a column set: exactly ``rows``
+    columns mean that single maximal minor, more mean all rows-subsets of
+    the set, in subset-lex order."""
 
     name: str
     rows: int
     cols: int
     letters: Tuple[str, ...]
-    row_set: Tuple[int, ...]
     hyperedges: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.letters) != self.rows:
             raise HyperedgeError("one letter per row is required")
-        if tuple(sorted(self.row_set)) != tuple(range(1, self.rows + 1)):
-            raise HyperedgeError("row_set must be all rows")
         for B in self.hyperedges:
             if len(B) < self.rows:
                 raise HyperedgeError(f"hyperedge {B} smaller than the row count")
@@ -80,7 +76,6 @@ def paper_3x12() -> HyperedgeSpec:
         rows=3,
         cols=12,
         letters=("x", "y", "z"),
-        row_set=(1, 2, 3),
         hyperedges=COL_BLOCKS + ROW_BLOCKS,
     )
 
@@ -133,7 +128,7 @@ def build_hyperedge_ideal(spec: HyperedgeSpec) -> Ideal:
             else [c for c in combinations(sorted(B), spec.rows)]
         )
         for cols in subsets:
-            g = minor(M, spec.row_set, cols)
+            g = minor(M, range(1, spec.rows + 1), cols)
             if g not in seen:
                 seen.add(g)
                 gens.append(g)
@@ -147,7 +142,7 @@ def all_maximal_minors_ideal(spec: Optional[HyperedgeSpec] = None) -> Ideal:
     ring = spec.ring()
     M = spec.matrix(ring)
     gens = [
-        minor(M, spec.row_set, cols)
+        minor(M, range(1, spec.rows + 1), cols)
         for cols in combinations(range(1, spec.cols + 1), spec.rows)
     ]
     return Ideal(ring, gens)
@@ -325,7 +320,7 @@ class GeneratorStructureReport:
 _ALLOWED_COEFFS = {1, -1, 2, -2}
 
 
-def _letter_partition(ring: PolyRing, exps: Tuple[int, ...], cols: int) -> Tuple[int, ...]:
+def _letter_partition(exps: Tuple[int, ...], cols: int) -> Tuple[int, ...]:
     counts = []
     for b in range(len(exps) // cols):
         counts.append(sum(exps[b * cols + j] for j in range(cols)))
@@ -386,7 +381,7 @@ def verify_structure(
     partition_of: Dict[Tuple[int, int, int], int] = {}
     constant_parts = True
     for pos, g in enumerate(tail, start=17):
-        parts = {_letter_partition(ring, e, cols) for e in g.terms}
+        parts = {_letter_partition(e, cols) for e in g.terms}
         degs = {sum(e) for e in g.terms}
         cover = all(_index_coverage(e, cols, blocks) for e in g.terms)
         part = parts.pop() if len(parts) == 1 else None
@@ -448,7 +443,10 @@ def verify_structure(
                 f"got {g19.num_terms()}",
             )
         )
-        image = _map_x_to_y(g19)
+        # x_j -> y_j, the other variables fixed; colliding terms add up
+        image = g19.permute_vars(
+            [j + cols if j < cols else j for j in range(g19.ring.nvars)]
+        )
         mapped_ok = (
             not image.is_zero()
             and set(image.terms) <= set(rule)
@@ -473,23 +471,3 @@ def verify_structure(
         tuple(checks), tuple(entries), partition_map, bijection, ok
     )
 
-
-def _map_x_to_y(g: Polynomial) -> Polynomial:
-    """Substitute x_i -> y_i (blocks 0 -> 1 of the 3x12 ring)."""
-    ring = g.ring
-    cols = 12
-    terms: Dict[Tuple[int, ...], object] = {}
-    for e, c in g.terms.items():
-        ee = list(e)
-        for j in range(cols):
-            if ee[j]:
-                ee[cols + j] += ee[j]
-                ee[j] = 0
-        key = tuple(ee)
-        acc = terms.get(key)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[key] = acc
-        elif key in terms:
-            del terms[key]
-    return Polynomial(ring, terms)

@@ -1,8 +1,8 @@
 """Ideals and the classical operations built from elimination.
 
 An Ideal is a generator list bound to a ring, with cached Groebner bases
-(keyed by order and localization) and cached saturations.  The operations
-follow the standard eliminate-a-tag-variable constructions:
+keyed by order and localization.  The operations follow the standard
+eliminate-a-tag-variable constructions:
 
 * intersect(I, J):  eliminate t from t*I + (1-t)*J;
 * quotient(I, f):   generators of (I meet <f>) divided exactly by f;
@@ -10,16 +10,19 @@ follow the standard eliminate-a-tag-variable constructions:
   exponent: the least m with h^m (I : h^infinity) inside I, by normal forms;
 * eliminate(I, V):  block order with V in front;
 * contract(I, u):   chained saturations of I by the K[u]-leading
-  coefficients of a minimal localized basis, smallest first -- this turns
-  the extension ideal I K(u)[X-u] back into its contraction in K[X];
+  coefficients of a minimal localized basis (saturation_coefficients),
+  smallest first -- this turns the extension ideal I K(u)[X-u] back into
+  its contraction in K[X];
 * dimension(I):     n minus the size of a minimum hitting set of the
   leading-monomial supports (Krull dimension of K[X]/I).
 
-Each construction has one order: the tag of intersect and quotient sits in
-front of degrevlex, eliminate uses degrevlex inside both blocks, and
-contraction saturates under ``contraction_order``.  Only ``saturate`` and
-``chained_saturation`` take a working order, because decomposition
-saturates under degrevlex and contraction under lex blocks.
+Each construction has one fixed order; none takes an order as a parameter.
+intersect, quotient and saturate put their tag (t or w) in a lex block in
+front of degrevlex on the ring, so every saturation, from decomposition or
+from contraction, runs under that one order.  eliminate uses degrevlex
+inside both blocks, and the localized basis that yields the contraction's
+coefficients is lex.  Saturations are not cached: each call eliminates
+afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .orders import (
     MonomialOrder,
     block_order,
     degrevlex_order,
-    flatten_with_front,
     lex_order,
 )
 from .polygcd import exact_divide, normalize_assoc
@@ -48,7 +50,7 @@ class IdealError(ValueError):
 class Ideal:
     """A finitely generated ideal of a polynomial ring."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_sat_cache")
+    __slots__ = ("ring", "generators", "_gb_cache")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -62,9 +64,8 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         # created on first use: most ideals (components, saturation results)
-        # are built, read and kept without ever filling a cache
+        # are built, read and kept without ever filling it
         self._gb_cache: Optional[Dict[tuple, GroebnerBasis]] = None
-        self._sat_cache: Optional[Dict[tuple, "SaturationResult"]] = None
 
     @classmethod
     def parse(cls, ring: PolyRing, texts: Iterable[str]) -> "Ideal":
@@ -77,7 +78,7 @@ class Ideal:
     ) -> GroebnerBasis:
         if order is None:
             order = degrevlex_order()
-        loc = frozenset(localized_vars) if localized_vars is not None else None
+        loc = frozenset(localized_vars or ()) or None
         cache_key = (order, loc)
         if self._gb_cache is None:
             self._gb_cache = {}
@@ -132,16 +133,13 @@ class SaturationResult:
 def _eliminate_tag(
     ring: PolyRing,
     name: str,
-    working_order: Optional[MonomialOrder],
     build: Callable[[PolyRing, Polynomial], List[Polynomial]],
 ) -> Ideal:
     """Adjoin a tag variable in front of ``ring``, build generators with it,
-    and keep the basis elements free of the tag (an elimination order with
-    the tag first and the working order, degrevlex by default, behind)."""
+    and keep the basis elements free of the tag (an elimination order: the
+    tag in a lex block, degrevlex on the ring behind it)."""
     big = extend_ring(ring, [fresh_name(ring, name)], front=True)
-    order = flatten_with_front(
-        working_order if working_order is not None else degrevlex_order(), big.nvars
-    )
+    order = block_order([((0,), LEX), (tuple(range(1, big.nvars)), DEGREVLEX)])
     G = buchberger(build(big, big.var(big.names[0])), order)
     return Ideal(ring, [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0])
 
@@ -158,7 +156,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if J.is_trivial():
         return Ideal(ring, I.generators)
     return _eliminate_tag(
-        ring, "t", degrevlex_order(),
+        ring, "t",
         lambda big, t: [t * inject(g, big, 1) for g in I.generators]
         + [(big.one - t) * inject(g, big, 1) for g in J.generators],
     )
@@ -178,31 +176,23 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(I.ring, [exact_divide(w, f) for w in W.generators])
 
 
-def saturate(
-    I: Ideal, h: Polynomial, working_order: Optional[MonomialOrder] = None
-) -> SaturationResult:
+def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
     """The saturation S = I : h^infinity and its exponent.
 
-    S comes from one elimination of w from I + <w*h - 1>.  The exponent is
-    the least m with h^m * S inside I: the normal forms of S's generators
-    against I's degrevlex basis are multiplied by h and reduced again until
-    all vanish.  With exponent 0 the result has I's generators.  Results are
-    cached on I.
+    S comes from one elimination of w from I + <w*h - 1>, with w in a lex
+    block in front of degrevlex.  The exponent is the least m with
+    h^m * S inside I: the normal forms of S's generators against I's
+    degrevlex basis are multiplied by h and reduced again until all vanish.
+    With exponent 0 the result has I's generators.
     """
     if h.ring != I.ring:
         raise RingError("polynomial from a different ring")
     if h.is_zero():
         raise IdealError("saturation by zero")
-    key = (h, working_order)
-    if I._sat_cache is None:
-        I._sat_cache = {}
-    got = I._sat_cache.get(key)
-    if got is not None:
-        return got
     exponent = 0
     if not (h.is_constant() or I.is_zero()):
         S = _eliminate_tag(
-            I.ring, "w", working_order,
+            I.ring, "w",
             lambda big, w: [inject(g, big, 1) for g in I.generators]
             + [w * inject(h, big, 1) - big.one],
         )
@@ -215,9 +205,7 @@ def saturate(
             remainders = [h * r for r in remainders]
             exponent += 1
     # exponent 0: I is saturated; keep its generators but not its cached bases
-    result = SaturationResult(S if exponent else Ideal(I.ring, I.generators), exponent)
-    I._sat_cache[key] = result
-    return result
+    return SaturationResult(S if exponent else Ideal(I.ring, I.generators), exponent)
 
 
 def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
@@ -240,15 +228,6 @@ def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
     return Ideal(ring, picked)
 
 
-def contraction_order(ring: PolyRing, u: Iterable[int]) -> MonomialOrder:
-    """The working order of contraction at an independent set u: lex blocks
-    with the non-u variables in front."""
-    u = frozenset(u)
-    rest = tuple(i for i in range(ring.nvars) if i not in u)
-    blocks = ([(rest, LEX)] if rest else []) + ([(tuple(sorted(u)), LEX)] if u else [])
-    return block_order(blocks)
-
-
 def sort_saturation_coefficients(
     cs: Sequence[Polynomial],
 ) -> List[Polynomial]:
@@ -265,17 +244,28 @@ def sort_saturation_coefficients(
     return [t[3] for t in ranked]
 
 
+def saturation_coefficients(I: Ideal, u: Iterable[int]) -> List[Polynomial]:
+    """The K[u]-leading coefficients of I's lex basis localized at u, in the
+    order of sort_saturation_coefficients: the c whose chained saturation of
+    I is the contraction of I K(u)[X-u].
+
+    Requires u independent for I (the localized basis is not trivial).
+    """
+    G = I.groebner(order=lex_order(), localized_vars=u)
+    if G.is_trivial():
+        raise IdealError("u is not an independent set for I")
+    return sort_saturation_coefficients(G.leading_coefficients())
+
+
 def chained_saturation(
-    I: Ideal,
-    cs: Sequence[Polynomial],
-    working_order: Optional[MonomialOrder] = None,
+    I: Ideal, cs: Sequence[Polynomial]
 ) -> Tuple[Ideal, List[Tuple[Polynomial, int]]]:
     """Saturate I by each c in turn, returning the result and the per-step
     (c, exponent) trail."""
     current = I
     steps: List[Tuple[Polynomial, int]] = []
     for c in cs:
-        res = saturate(current, c, working_order)
+        res = saturate(current, c)
         steps.append((c, res.exponent))
         current = res.ideal
     return current, steps
@@ -285,9 +275,7 @@ def contract(I: Ideal, u: Iterable[int]) -> Ideal:
     """Contraction of the extension I K(u)[X-u] back to K[X].
 
     Requires u independent for I (no leading monomial supported inside u).
-    Saturates I by the K[u]-leading coefficients of a minimal localized
-    basis, in the order of sort_saturation_coefficients, each saturation
-    under contraction_order(I.ring, u).
+    Saturates I by saturation_coefficients(I, u), one after the other.
     """
     result, _ = contract_with_trail(I, u)
     return result
@@ -298,15 +286,7 @@ def contract_with_trail(
 ) -> Tuple[Ideal, List[Tuple[Polynomial, int]]]:
     """contract(), but also return the (coefficient, exponent) trail of the
     chained saturation that produced it."""
-    u = frozenset(u)
-    ring = I.ring
-    if I.is_zero():
-        return Ideal(ring, []), []
-    G = I.groebner(order=lex_order(), localized_vars=u)
-    if G.is_trivial():
-        raise IdealError("u is not an independent set for I")
-    cs = sort_saturation_coefficients(G.leading_coefficients())
-    return chained_saturation(I, cs, contraction_order(ring, u))
+    return chained_saturation(I, saturation_coefficients(I, u))
 
 
 def dimension(I: Ideal) -> int:

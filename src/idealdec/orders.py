@@ -137,23 +137,6 @@ def block_order(blocks: Iterable) -> MonomialOrder:
     return MonomialOrder(BLOCK, normalized)
 
 
-def flatten_with_front(order: MonomialOrder, total_nvars: int) -> MonomialOrder:
-    """Prepend a lex block for a tag variable adjoined at position 0.
-
-    ``total_nvars`` is the variable count of the *extended* ring, whose
-    other variables are the old ones shifted by one; the tag dominates the
-    given working order on them (the t of an intersection, the w of a
-    saturation).
-    """
-    front_block = ((0,), LEX)
-    if order.kind in _SIMPLE_KINDS:
-        return MonomialOrder(BLOCK, (front_block, (tuple(range(1, total_nvars)), order.kind)))
-    shifted = tuple(
-        (tuple(i + 1 for i in idxs), inner) for idxs, inner in order.blocks
-    )
-    return MonomialOrder(BLOCK, (front_block,) + shifted)
-
-
 def order_from_string(text: str, names: Sequence[str]) -> MonomialOrder:
     """Parse a CLI order spec: "lex", "degrevlex", or "block:x,y|z".
 

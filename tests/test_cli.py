@@ -402,6 +402,17 @@ def test_missing_input_file(capsys):
     assert err
 
 
+def test_unreadable_files_are_reported(capsys, gens_file, tmp_path):
+    # every file the CLI reads turns an OSError into one error line
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["verify", missing],
+                 ["primality", gens_file(XYXZ), "--symmetry-file", missing],
+                 ["build", str(tmp_path)]):  # a directory exists but cannot be read
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert err.startswith("idealdec: error: cannot read "), argv
+
+
 def test_headerless_input_file(capsys, gens_file):
     path = gens_file("# only a comment\n")
     code, out, err = run(capsys, "groebner", path)

@@ -171,7 +171,7 @@ def test_maximal_minors_3x9_spolynomial_count(monkeypatch):
     from idealdec.hyperedge import HyperedgeSpec, build_hyperedge_ideal
 
     spec = HyperedgeSpec(name="minors-3x9", rows=3, cols=9,
-                         letters=("x", "y", "z"), row_set=(1, 2, 3),
+                         letters=("x", "y", "z"),
                          hyperedges=(tuple(range(1, 10)),))
     gens = build_hyperedge_ideal(spec).generators
     assert len(gens) == 84

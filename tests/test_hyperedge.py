@@ -81,7 +81,7 @@ def test_minor_leibniz_and_sign():
 def test_oversized_hyperedge_expands_to_subsets():
     spec = HyperedgeSpec(
         name="tiny", rows=2, cols=4, letters=("a", "b"),
-        row_set=(1, 2), hyperedges=((1, 2, 3),),
+        hyperedges=((1, 2, 3),),
     )
     I = build_hyperedge_ideal(spec)
     assert len(I.generators) == 3  # C(3, 2) column pairs

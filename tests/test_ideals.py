@@ -2,9 +2,14 @@
 contraction, dimension."""
 
 import time
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealdec.domains import QQ
 from idealdec.ideals import (
     Ideal,
     IdealError,
@@ -17,9 +22,12 @@ from idealdec.ideals import (
     intersect,
     quotient,
     saturate,
+    saturation_coefficients,
     sort_saturation_coefficients,
 )
+from idealdec.indepsets import maximal_independent_sets
 from idealdec.orders import lex_order
+from idealdec.rings import PolyRing
 
 
 def _ideal(ring, *texts):
@@ -189,6 +197,12 @@ def test_contract_rejects_dependent_sets(rxy):
         contract(I, [0])
 
 
+def test_contract_at_the_empty_set_is_the_ideal(rxy):
+    I = _ideal(rxy, "x^2 - 1", "y^2 - 1")
+    got, trail = contract_with_trail(I, [])
+    assert got.equals(I) and trail == []
+
+
 def test_canonical_generators_are_stable(rxy):
     I = _ideal(rxy, "y^2 - 1", "x^2 - y")
     J = _ideal(rxy, "x^2 - y", "y^2 - 1")
@@ -199,3 +213,30 @@ def test_normal_form_respects_requested_order(rxy):
     I = _ideal(rxy, "x^2 - y")
     lex_nf = I.normal_form(rxy.parse("x^2"), lex_order())
     assert lex_nf == rxy.parse("y")
+
+
+_RXYZ = PolyRing(("x", "y", "z"), QQ)
+_MONOMIALS = [(a, b, c) for a in range(4) for b in range(4 - a)
+              for c in range(4 - a - b)]
+_gens = st.lists(
+    st.dictionaries(st.sampled_from(_MONOMIALS), st.sampled_from([-2, -1, 1, 2]),
+                    min_size=2, max_size=3),
+    min_size=2, max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gens=_gens, data=st.data())
+def test_contract_is_saturation_by_the_coefficient_product(gens, data):
+    # chaining the saturations, in either order, is one saturation by the
+    # product of the coefficients
+    I = Ideal(_RXYZ, [_RXYZ.poly(t) for t in gens])
+    sets = maximal_independent_sets(I.groebner())
+    if not sets:  # the unit ideal
+        assert I.is_trivial()
+        return
+    u = data.draw(st.sampled_from(sets))
+    cs = saturation_coefficients(I, u)
+    whole = saturate(I, reduce(mul, cs, _RXYZ.one)).ideal
+    assert contract(I, u).equals(whole)
+    assert chained_saturation(I, cs[::-1])[0].equals(whole)

@@ -35,7 +35,7 @@ def test_hitting_sets():
 def test_maximal_independent_sets_of_3x9_minors():
     # the initial complex of the maximal minors is pure: C(9, 2) facets
     spec = HyperedgeSpec(name="minors-3x9", rows=3, cols=9,
-                         letters=("x", "y", "z"), row_set=(1, 2, 3),
+                         letters=("x", "y", "z"),
                          hyperedges=(tuple(range(1, 10)),))
     sets = maximal_independent_sets(build_hyperedge_ideal(spec).groebner())
     assert len(sets) == 36
