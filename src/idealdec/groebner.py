@@ -19,37 +19,51 @@ divides form no further pairs, though they still reduce.  Reduced bases
 over a field are unique for a fixed order, which the test-suite exploits
 heavily.
 
+Inside the kernel a monomial is one packed int, ``C = K << n*W | M``, in
+fields of W bits whose top bit is a guard (Monagan and Pearce, *Sparse
+polynomial division using a heap*, JSC 2011; Bachmann and Schonemann,
+*Monomial representations for Groebner bases computations*, ISSAC 1998).
+M holds the total degree in field 0 and the n exponents in fields 1..n;
+K holds the n rows of the order's key (see ``orders``), leading row on
+top.  Every field is linear in the exponents and no field exceeds the
+total degree, so while the degree stays below 2^(W-1):
+
+* multiplying monomials is ``+`` and dividing is ``-``;
+* comparing them in the order is ``<``, and the int is its own dict and
+  heap key;
+* a divides b iff ``(C_b - C_a) & G == 0``, G the guard bits of M: a field
+  of b less than a's borrows into its own guard bit;
+* ``(M_a | G) - M_b`` keeps the guard of each field where a >= b, and those
+  guards select the lcm's fields from a or b; the lcm's degree is the sum
+  of its exponent fields, ``M % (2**W - 1)``;
+* a and b are coprime iff the degree of their lcm is the sum of theirs.
+
+The layout of M is chosen per order so that K follows from M with a mask
+and one product per degrevlex block (the product by 1 + 2^W + 2^2W + ...
+makes prefix sums), so the key of an lcm costs a few int operations and is
+built only for pairs that criteria M and F keep.  W starts from the
+largest input degree; a new monomial whose degree reaches the guard bit
+raises ``_Overflow``, and the computation starts again at twice the width
+(``_widening``), so the width never limits the input.  One packing is
+cached per (order, number of variables, width).
+
 Reduction runs on plain ``int`` coefficients, fraction-free, in both
-fields.  Each basis element is held as an integer entry (leading
-exponents, a, tail): over Q the element's primitive integer multiple with
+fields.  Each basis element is held as an integer entry (packed leading
+monomial, a, tail): over Q the element's primitive integer multiple with
 leading coefficient a > 0, over GF(p) the monic element as residues, a = 1.
-Leading data is computed once per element, when its entry is made.
 S-polynomials, reduction, interreduction, ``normal_form`` and
 ``is_groebner_basis`` all read entries; the finished basis is built from
 its entries, and its elements are the only field (``Fraction`` or
 ``ModInt``) polynomials the module makes.  ``_reduce`` pops terms greatest
-first from a heap keyed by the order's compiled ``lead_key``, each monomial
-pushed once, when it enters the work dict.  A popped term c x^e with a
-reducer (lead, a, tail), lead | e, is cancelled by scaling the work dict
-by a / gcd(a, c) and subtracting (c / gcd(a, c)) x^(e - lead) tail, the
-fraction-free reduction of Singular (Greuel and Pfister, *A Singular
-Introduction to Commutative Algebra*); over GF(p) c is taken mod p when it
-is popped, so residues grow unreduced until then.  The product of the
-scale factors is returned with the remainder, so normal forms stay exact.
-
-Every divisibility test between monomials first tries their support masks
-(the short exponent vectors of Singular; Bachmann and Schonemann,
-*Monomial representations for Groebner bases computations*, ISSAC 1998).
-Bit i of a mask is set iff variable i occurs, so a | b needs
-``mask_a & ~mask_b == 0``.  An entry carries the mask of its leading
-monomial, made with the entry; a queued pair carries the mask of its lcm,
-``mask_i | mask_j``; ``_reduce`` takes the mask of each popped term once.
-The reducer's divisor scan, criteria B, M and F, and the ``live`` filter
-skip a candidate whose mask test fails, and two elements are coprime iff
-``mask_i & mask_j == 0``.  A mask is a prefilter only: a zero
-``mask_a & ~mask_b`` decides nothing, ``_divides`` still does, and the
-first divisor in basis order is still the one used, so remainders, pair
-counts and bases are exactly those of the plain scans.
+first from a heap of negated packed monomials, each monomial pushed once,
+when it enters the work dict.  A popped term c x^e with a reducer (lead, a,
+tail), lead | e, is cancelled by scaling the work dict by a / gcd(a, c) and
+subtracting (c / gcd(a, c)) x^(e - lead) tail, the fraction-free reduction
+of Singular (Greuel and Pfister, *A Singular Introduction to Commutative
+Algebra*); over GF(p) c is taken mod p when it is popped, so residues grow
+unreduced until then.  The product of the scale factors is returned with
+the remainder, so normal forms stay exact.  The first divisor in basis
+order is the one used.
 
 Normal forms exist for plain bases only; a localized basis raises
 ``GroebnerError`` for them.
@@ -59,14 +73,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import cache
-from itertools import compress
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from operator import add, le, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter, le, mul
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domains import ModInt
-from .orders import BLOCK, MonomialOrder, OrderError, block_order, degrevlex_order
+from .orders import BLOCK, LEX, MonomialOrder, OrderError, block_order, degrevlex_order
 from .rings import Polynomial, PolyRing, RingError
 
 Exponents = Tuple[int, ...]
@@ -80,169 +94,250 @@ class NotZeroDimensional(GroebnerError):
     """The (localized) quotient is not a finite-dimensional vector space."""
 
 
+class _Overflow(Exception):
+    """A new monomial's degree reached the guard bit of its field."""
+
+
 def _divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
-def _lcm_exps(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
+class _Packing:
+    """Packed monomials of one order on n variables at field width W."""
+
+    __slots__ = ("width", "field", "overflow", "guards", "exps", "mpart",
+                 "kshift", "lexrows", "blocks", "shifts", "units")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        w = self.width = width
+        field = self.field = (1 << w) - 1
+        self.overflow = 1 << (w - 1)
+        self.guards = sum(1 << (w - 1) << f * w for f in range(nvars + 1))
+        self.mpart = (1 << (nvars + 1) * w) - 1
+        self.exps = self.mpart - field
+        self.kshift = nvars * w
+        # the blocks fill fields n, n-1, ... of M, leading block on top; a
+        # lex block puts its first variable on top, so its rows are its own
+        # fields, and a degrevlex block puts it at the bottom, so its rows
+        # are the prefix sums of its fields, the longest on top
+        pos = [0] * nvars
+        top = nvars + 1
+        lexrows = 0
+        blocks = []
+        for idxs, inner in order.parts(nvars):
+            base = top - len(idxs)
+            top = base
+            seg = sum(field << f * w for f in range(base, base + len(idxs)))
+            if inner == LEX:
+                for k, v in enumerate(reversed(idxs)):
+                    pos[v] = base + k
+                lexrows |= seg
+            else:
+                for k, v in enumerate(idxs):
+                    pos[v] = base + k
+                blocks.append((seg, sum(1 << k * w for k in range(len(idxs)))))
+        self.lexrows = lexrows
+        self.blocks = tuple(blocks)
+        self.shifts = tuple(f * w for f in pos)
+        self.units = tuple(self.from_m(1 | 1 << s) for s in self.shifts)
+
+    def from_m(self, m: int) -> int:
+        """The packed monomial whose M part is m."""
+        k = m & self.lexrows
+        for seg, prefix in self.blocks:
+            k |= (m & seg) * prefix & seg
+        return k << self.kshift | m
+
+    def pack(self, e: Exponents) -> int:
+        """The packed monomial x^e; its degree must lie below 2^(W-1)."""
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, c: int) -> Exponents:
+        field = self.field
+        return tuple(c >> s & field for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The M part of lcm(a, b), from packed monomials or their M parts."""
+        guards = self.guards
+        t = ((a | guards) - b) & guards
+        # the value bits of the exponent fields where a >= b
+        take = (t - (t >> self.width - 1)) & self.exps
+        m = (b ^ (a ^ b) & take) & self.exps
+        degree = m % self.field
+        if degree & self.overflow:
+            raise _Overflow
+        return m | degree
 
 
-@cache
-def _bits(nvars: int) -> Tuple[int, ...]:
-    """1 << i for each of nvars variables; ``sum(compress(bits, e))`` is the
-    support mask of e."""
-    return tuple(1 << i for i in range(nvars))
+_packing = lru_cache(maxsize=256)(_Packing)
 
 
-def _support(e: Exponents) -> int:
-    """The support mask of e: bit i is set iff e[i] is nonzero.
-
-    If a divides b, the mask of a lies inside the mask of b, so a nonzero
-    ``mask_a & ~mask_b`` proves that a does not divide b.  A zero one proves
-    nothing: ``_divides`` still decides.
-    """
-    return sum(compress(_bits(len(e)), e))
+def _width(monomials: Iterable[Exponents]) -> int:
+    """The first field width: its W - 1 value bits hold twice the largest
+    degree of ``monomials``, and at least 7 bits."""
+    return max(8, max(map(sum, monomials), default=0).bit_length() + 2)
 
 
-# A basis entry is (lead_exps, mask, a, tail): the leading exponents, their
-# support mask and the leading coefficient of an integer multiple of a
-# nonzero polynomial, and its other terms as a list of (exps, int).  Over Q
-# the multiple is the primitive one with a > 0; over GF(p) it is the monic
-# polynomial as residues, a = 1.
-Entry = Tuple[Exponents, int, int, List[Tuple[Exponents, int]]]
+def _widening(order: MonomialOrder, nvars: int, width: int,
+              run: Callable[[_Packing], object]):
+    """run(packing) at ``width``, or at twice the width each time a new
+    monomial overflows its fields."""
+    while True:
+        try:
+            return run(_packing(order, nvars, width))
+        except _Overflow:
+            width *= 2
 
 
-def _integer_terms(f: Polynomial) -> Tuple[Dict[Exponents, int], int]:
-    """The integer terms of D times f, and D: over Q the lcm of the
-    denominators, over GF(p) 1, with the residues as terms."""
+# A basis entry is (lead, a, tail): the packed leading monomial and the
+# leading coefficient of an integer multiple of a nonzero polynomial, and
+# its other terms as a list of (packed monomial, int).  Over Q the multiple
+# is the primitive one with a > 0; over GF(p) it is the monic polynomial as
+# residues, a = 1.
+Entry = Tuple[int, int, List[Tuple[int, int]]]
+
+
+def _packed_terms(f: Polynomial, packing: _Packing) -> Tuple[Dict[int, int], int]:
+    """The integer terms of D times f, with packed monomials, and D: over Q
+    the lcm of the denominators, over GF(p) 1, with the residues as terms."""
+    pack = packing.pack
     if f.ring.domain.characteristic:
-        return {e: c.value for e, c in f.terms.items()}, 1
+        return {pack(e): c.value for e, c in f.terms.items()}, 1
     den = lcm(*(c.denominator for c in f.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+    return {pack(e): c.numerator * (den // c.denominator)
+            for e, c in f.terms.items()}, den
 
 
-def _make_entry(terms: Dict[Exponents, int], lead: Exponents, p: int) -> Entry:
+def _make_entry(terms: Dict[int, int], lead: int, p: int) -> Entry:
     """The entry of the polynomial with nonzero integer terms ``terms`` and
-    leading exponents ``lead``, over GF(p) when p is nonzero."""
+    packed leading monomial ``lead``, over GF(p) when p is nonzero."""
     a = terms[lead]
-    mask = _support(lead)
     if p:
         inv = pow(a, -1, p)
-        return lead, mask, 1, [(e, c * inv % p) for e, c in terms.items() if e != lead]
+        return lead, 1, [(e, c * inv % p) for e, c in terms.items() if e != lead]
     g = gcd(*terms.values())
     if a < 0:
         g = -g
-    return lead, mask, a // g, [(e, c // g) for e, c in terms.items() if e != lead]
+    return lead, a // g, [(e, c // g) for e, c in terms.items() if e != lead]
 
 
-def _poly_entry(f: Polynomial, order: MonomialOrder) -> Entry:
-    """The entry of a nonzero polynomial under ``order``."""
-    terms = _integer_terms(f)[0]
-    return _make_entry(terms, f.leading_data(order)[1], f.ring.domain.characteristic)
+def _poly_entry(f: Polynomial, packing: _Packing) -> Entry:
+    """The entry of a nonzero polynomial under the packing's order."""
+    terms = _packed_terms(f, packing)[0]
+    return _make_entry(terms, max(terms), f.ring.domain.characteristic)
 
 
 def _field_terms(
-    terms: Iterable[Tuple[Exponents, int]], den: int, p: int
+    terms: Iterable[Tuple[int, int]], den: int, p: int, packing: _Packing
 ) -> Dict[Exponents, object]:
-    """The terms with coefficients c / den in the field, zeros dropped.
+    """The packed integer terms as exponents with coefficients c / den in
+    the field, zeros dropped.
 
     Over GF(p) den is always 1: entries are monic, so the reducer never
     scales.
     """
+    unpack = packing.unpack
     if p:
-        return {e: ModInt(c, p) for e, c in terms if c % p}
-    return {e: Fraction(c, den) for e, c in terms if c}
+        return {unpack(e): ModInt(c, p) for e, c in terms if c % p}
+    return {unpack(e): Fraction(c, den) for e, c in terms if c}
 
 
-def spolynomial(f, g, order: Optional[MonomialOrder] = None):
+def spolynomial(f, g, order=None):
     """The S-polynomial of f and g.
 
-    For polynomials f and g, with leading terms under ``order``, it is
-    returned as a polynomial.  ``buchberger`` and ``is_groebner_basis``
-    pass the entries of two basis elements instead and get the integer
-    terms that the kernel reduces: lcm(a_f, a_g) times the S-polynomial,
-    with residues left unreduced over GF(p).
+    For polynomials f and g, with leading terms under the monomial order
+    ``order``, it is returned as a polynomial.  ``buchberger`` and
+    ``is_groebner_basis`` pass the entries of two basis elements and their
+    packing instead and get the integer terms that the kernel reduces:
+    lcm(a_f, a_g) times the S-polynomial, with residues left unreduced over
+    GF(p).
     """
     if isinstance(f, Polynomial):
-        ef, eg = _poly_entry(f, order), _poly_entry(g, order)
-        s = spolynomial(ef, eg)
-        den = lcm(ef[2], eg[2])
         p = f.ring.domain.characteristic
-        return Polynomial(f.ring, _field_terms(s.items(), den, p))
-    (lf, _, af, tf), (lg, _, ag, tg) = f, g
+
+        def run(packing):
+            ef, eg = _poly_entry(f, packing), _poly_entry(g, packing)
+            return packing, spolynomial(ef, eg, packing), lcm(ef[1], eg[1])
+
+        packing, s, den = _widening(order, f.ring.nvars,
+                                    _width(chain(f.terms, g.terms)), run)
+        return Polynomial(f.ring, _field_terms(s.items(), den, p, packing))
+    (lf, af, tf), (lg, ag, tg) = f, g
     # (a_g/d) x^(m - lf) T_f - (a_f/d) x^(m - lg) T_g, d = gcd(a_f, a_g):
     # the leading terms cancel, so only the tails are shifted
     d = gcd(af, ag)
     cf, cg = ag // d, af // d
-    m = _lcm_exps(lf, lg)
-    shift = tuple(map(sub, m, lf))
-    s = {tuple(map(add, e, shift)): cf * c for e, c in tf}
-    shift = tuple(map(sub, m, lg))
+    m = order.from_m(order.lcm(lf, lg))
+    shift = m - lf
+    s = {e + shift: cf * c for e, c in tf}
+    shift = m - lg
     for e, c in tg:
-        e = tuple(map(add, e, shift))
+        e += shift
         s[e] = s.get(e, 0) - cg * c
+    overflow = order.overflow
+    if any(e & overflow for e in s):
+        raise _Overflow
     return s
 
 
 def _reduce(
-    work: Dict[Exponents, int],
+    work: Dict[int, int],
     basis: Sequence[Entry],
-    order: MonomialOrder,
+    packing: _Packing,
     p: int,
-) -> Tuple[Dict[Exponents, int], int]:
-    """Full normal form of integer terms against basis entries.
+) -> Tuple[Dict[int, int], int]:
+    """Full normal form of packed integer terms against basis entries.
 
     Returns (remainder, scale): scale times the input, less the remainder,
     lies in the ideal of the basis, and no remainder term is divisible by
     a leading monomial of it.  Over GF(p) (p nonzero) scale is 1 and the
     remainder's coefficients are residues.  ``work`` is consumed.
 
-    Terms are popped greatest first from a heap of ``order.lead_key``
-    values.  A monomial is pushed once, when it enters the work dict; a
+    Terms are popped greatest first from a heap of negated packed
+    monomials.  A monomial is pushed once, when it enters the work dict; a
     term that cancels stays there with coefficient zero until popped, so
     the heap never holds a stale key.  Irreducible terms are retired to the
     remainder, which is therefore built in descending order.
     """
-    key = order.lead_key
-    heap = [(key(e), e) for e in work]
+    guards, overflow = packing.guards, packing.overflow
+    heap = [-e for e in work]
     heapq.heapify(heap)
-    bits = _bits(len(heap[0][1])) if heap else ()
-    remainder: Dict[Exponents, int] = {}
+    remainder: Dict[int, int] = {}
     scale = 1
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heapq.heappop(heap)
         c = work.pop(e)
         if p:
             c %= p
         if not c:
             continue
-        # the variables absent from e: a lead with one of them is no divisor
-        out = ~sum(compress(bits, e))
-        for lead, mask, a, tail in basis:
-            if not mask & out and all(map(le, lead, e)):
-                if a != 1:
-                    # scale by a/g, so that (c/g) x^shift times the element
-                    # cancels the term
-                    g = gcd(a, c)
-                    m = a // g
-                    c //= g
-                    if m != 1:
-                        scale *= m
-                        for t in work:
-                            work[t] *= m
-                        for t in remainder:
-                            remainder[t] *= m
-                shift = tuple(map(sub, e, lead))
-                for ge, gc in tail:
-                    ne = tuple(map(add, ge, shift))
-                    s = work.get(ne)
-                    if s is None:
-                        work[ne] = -c * gc
-                        heapq.heappush(heap, (key(ne), ne))
-                    else:
-                        work[ne] = s - c * gc
-                break
+        for lead, a, tail in basis:
+            shift = e - lead
+            if shift & guards:
+                continue
+            if a != 1:
+                # scale by a/g, so that (c/g) x^shift times the element
+                # cancels the term
+                g = gcd(a, c)
+                m = a // g
+                c //= g
+                if m != 1:
+                    scale *= m
+                    for t in work:
+                        work[t] *= m
+                    for t in remainder:
+                        remainder[t] *= m
+            for ge, gc in tail:
+                ne = ge + shift
+                s = work.get(ne)
+                if s is None:
+                    if ne & overflow:
+                        raise _Overflow
+                    work[ne] = -c * gc
+                    heapq.heappush(heap, -ne)
+                else:
+                    work[ne] = s - c * gc
+            break
         else:
             remainder[e] = c
     return remainder, scale
@@ -253,11 +348,12 @@ class GroebnerBasis:
 
     ``order`` is the order requested by the caller; ``computation_order``
     is the actual full-ring order used (a block order when localized).
-    The basis is built from its entries under the computation order, as
-    ``buchberger`` holds them: ``elements`` are the monic polynomials they
-    make, sorted by ascending leading monomial, and the leading data below
-    is read from the entries, never recomputed.  Only a plain basis has
-    normal forms; a localized one serves its leading data.
+    The basis is built from its entries under the computation order and
+    the packing they were made with, as ``buchberger`` holds them:
+    ``elements`` are the monic polynomials they make, sorted by ascending
+    leading monomial, and the leading exponents are unpacked once, here.
+    Only a plain basis has normal forms, reduced against the entries; a
+    localized one serves its leading data.
     """
 
     __slots__ = (
@@ -267,6 +363,8 @@ class GroebnerBasis:
         "elements",
         "localized_vars",
         "_entries",
+        "_packing",
+        "_leads",
     )
 
     def __init__(
@@ -276,18 +374,21 @@ class GroebnerBasis:
         computation_order: MonomialOrder,
         entries: Sequence[Entry],
         localized_vars: Optional[frozenset] = None,
+        packing: Optional[_Packing] = None,
     ):
         one = ring.domain.one
         p = ring.domain.characteristic
         self.ring = ring
         self.order = order
         self.computation_order = computation_order
+        self._leads = [packing.unpack(entry[0]) for entry in entries]
         self.elements = tuple(
-            Polynomial(ring, {lead: one, **_field_terms(tail, a, p)})
-            for lead, _, a, tail in entries
+            Polynomial(ring, {lead: one, **_field_terms(tail, a, p, packing)})
+            for lead, (_, a, tail) in zip(self._leads, entries)
         )
         self.localized_vars = localized_vars
         self._entries = entries
+        self._packing = packing
 
     # -- structural views ---------------------------------------------------
 
@@ -301,7 +402,7 @@ class GroebnerBasis:
         )
 
     def lead_exps(self) -> List[Exponents]:
-        return [entry[0] for entry in self._entries]
+        return list(self._leads)
 
     def localized_lead_exps(self) -> List[Exponents]:
         """Leading exponents restricted to the non-localized variables."""
@@ -342,9 +443,20 @@ class GroebnerBasis:
         if self.localized_vars is not None:
             raise GroebnerError("a localized basis has no normal forms")
         p = self.ring.domain.characteristic
-        terms, den = _integer_terms(f)
-        r, scale = _reduce(terms, self._entries, self.computation_order, p)
-        return Polynomial(self.ring, _field_terms(r.items(), den * scale, p))
+        width = _width(f.terms)
+        if self._packing is not None:
+            width = max(width, self._packing.width)
+
+        def run(packing):
+            entries = self._entries
+            if packing is not self._packing:
+                entries = [_poly_entry(g, packing) for g in self.elements]
+            terms, den = _packed_terms(f, packing)
+            r, scale = _reduce(terms, entries, packing, p)
+            return _field_terms(r.items(), den * scale, p, packing)
+
+        terms = _widening(self.computation_order, self.ring.nvars, width, run)
+        return Polynomial(self.ring, terms)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -414,7 +526,7 @@ def _staircase_count(lead_projs: List[Exponents], nrel: int) -> int:
     return rec(0, list(range(len(minimal))), [])
 
 
-def _interreduce(entries: List[Entry], order: MonomialOrder, p: int) -> None:
+def _interreduce(entries: List[Entry], packing: _Packing, p: int) -> None:
     """Tail-reduce the entries of a minimal basis in place, which makes it
     the reduced basis.
 
@@ -423,10 +535,88 @@ def _interreduce(entries: List[Entry], order: MonomialOrder, p: int) -> None:
     monomial.  So one pass, each tail reduced against all entries, leaves
     no tail term divisible by any leading monomial.
     """
-    for i, (lead, _, a, tail) in enumerate(entries):
+    for i, (lead, a, tail) in enumerate(entries):
         # scale (a x^lead + tail) = scale a x^lead + r modulo the ideal
-        r, scale = _reduce(dict(tail), entries, order, p)
+        r, scale = _reduce(dict(tail), entries, packing, p)
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
+
+
+def _reduced_entries(
+    gens: Sequence[Polynomial], packing: _Packing, p: int
+) -> List[Entry]:
+    """The entries of the reduced basis of the nonzero ``gens`` under the
+    packing's order."""
+    guards, field, lcm_of = packing.guards, packing.field, packing.lcm
+    entries: List[Entry] = []
+    # the packed leading monomials of the entries and their M parts
+    lead: List[int] = []
+    lead_m: List[int] = []
+    # elements whose leading monomial no later leading monomial divides;
+    # only these form new pairs
+    live: List[int] = []
+    # queued pairs (i, j), i < j, and the M parts of their lcms; the heap
+    # orders them by packed lcm and skips a pair once it has left the dict
+    pairs: Dict[Tuple[int, int], int] = {}
+    heap: List[tuple] = []
+
+    def add_poly(entry: Entry) -> None:
+        """Append an element and update the pairs (Gebauer-Moller)."""
+        lm = entry[0] & packing.mpart
+        degree = lm & field
+        j = len(entries)
+        entries.append(entry)
+        lead.append(entry[0])
+        lead_m.append(lm)
+        # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
+        # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
+        for (i, k), m in list(pairs.items()):
+            if (not (m - lm) & guards
+                    and lcm_of(lead_m[i], lm) != m
+                    and lcm_of(lead_m[k], lm) != m):
+                del pairs[i, k]
+        # criteria M and F: by ascending degree, coprime pairs first, keep
+        # a new pair only if no kept lcm divides its lcm; then drop the
+        # coprime pairs, whose S-polynomials reduce to zero
+        new = []
+        for i in live:
+            m = lcm_of(lead_m[i], lm)
+            d = m & field
+            new.append((d, d != degree + (lead_m[i] & field), i, m))
+        new.sort()
+        kept: List[int] = []
+        for _, shared, i, m in new:
+            for k in kept:
+                if not (m - k) & guards:
+                    break
+            else:
+                kept.append(m)
+                if shared:
+                    pairs[i, j] = m
+                    heapq.heappush(heap, (packing.from_m(m), i, j))
+        live[:] = [i for i in live if (lead_m[i] - lm) & guards]
+        live.append(j)
+
+    for entry in sorted((_poly_entry(g, packing) for g in gens),
+                        key=itemgetter(0)):
+        add_poly(entry)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue
+        r, _ = _reduce(spolynomial(entries[i], entries[j], packing), entries, packing, p)
+        if r:
+            # the remainder is built greatest term first
+            add_poly(_make_entry(r, next(iter(r)), p))
+
+    # minimalise: drop elements whose lead is divisible by another lead
+    kept_idx: List[int] = []
+    for i in sorted(range(len(entries)), key=lead.__getitem__):
+        if all((lead[i] - lead[k]) & guards for k in kept_idx):
+            kept_idx.append(i)
+    reduced = [entries[i] for i in kept_idx]
+    _interreduce(reduced, packing, p)
+    return reduced
 
 
 def buchberger(
@@ -470,99 +660,29 @@ def buchberger(
     if not work:
         return GroebnerBasis(ring, order, comp_order, (), loc)
 
-    key = comp_order.key
     p = ring.domain.characteristic
-    entries: List[Entry] = []
-    # the leading exponents of the entries and their support masks
-    lead: List[Exponents] = []
-    masks: List[int] = []
-    # elements whose leading monomial no later leading monomial divides;
-    # only these form new pairs
-    live: List[int] = []
-    # queued pairs (i, j), i < j, and their lcms with the lcms' masks; the
-    # heap orders them by lcm and skips a pair once it has left the dict
-    pairs: Dict[Tuple[int, int], Tuple[Exponents, int]] = {}
-    heap: List[tuple] = []
-
-    def add_poly(entry: Entry) -> None:
-        """Append an element and update the pairs (Gebauer-Moller)."""
-        lm, lmask = entry[0], entry[1]
-        j = len(entries)
-        entries.append(entry)
-        lead.append(lm)
-        masks.append(lmask)
-        # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
-        # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
-        for (i, k), (m, mask) in list(pairs.items()):
-            if (not lmask & ~mask and _divides(lm, m)
-                    and _lcm_exps(lead[i], lm) != m
-                    and _lcm_exps(lead[k], lm) != m):
-                del pairs[i, k]
-        # criteria M and F: by ascending degree, coprime pairs first, keep
-        # a new pair only if no kept lcm divides its lcm; then drop the
-        # coprime pairs, whose S-polynomials reduce to zero
-        new = []
-        for i in live:
-            m = _lcm_exps(lead[i], lm)
-            new.append((sum(m), bool(masks[i] & lmask), i, m))
-        new.sort()
-        kept: List[Tuple[Exponents, int]] = []
-        for _, shared, i, m in new:
-            mask = masks[i] | lmask
-            out = ~mask
-            for k, kmask in kept:
-                if not kmask & out and _divides(k, m):
-                    break
-            else:
-                kept.append((m, mask))
-                if shared:
-                    pairs[i, j] = m, mask
-                    heapq.heappush(heap, (key(m), i, j))
-        live[:] = [i for i in live
-                   if lmask & ~masks[i] or not _divides(lm, lead[i])]
-        live.append(j)
-
-    for entry in sorted((_poly_entry(g, comp_order) for g in work),
-                        key=lambda entry: key(entry[0])):
-        add_poly(entry)
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if pairs.pop((i, j), None) is None:
-            continue
-        r, _ = _reduce(spolynomial(entries[i], entries[j]), entries, comp_order, p)
-        if r:
-            # the remainder is built greatest term first
-            add_poly(_make_entry(r, next(iter(r)), p))
-
-    # minimalise: drop elements whose lead is divisible by another lead
-    idxs = sorted(range(len(entries)), key=lambda i: key(lead[i]))
-    kept: List[int] = []
-    for i in idxs:
-        out = ~masks[i]
-        if not any(not masks[k] & out and _divides(lead[k], lead[i])
-                   for k in kept):
-            kept.append(i)
-    reduced_entries = [entries[i] for i in kept]
-    _interreduce(reduced_entries, comp_order, p)
+    packing, entries = _widening(
+        comp_order, ring.nvars, _width(chain.from_iterable(g.terms for g in work)),
+        lambda packing: (packing, _reduced_entries(work, packing, p)))
 
     if loc is None:
-        return GroebnerBasis(ring, order, comp_order, reduced_entries)
+        return GroebnerBasis(ring, order, comp_order, entries, packing=packing)
 
     # localized minimalisation: keep elements whose leading monomial
-    # restricted to the rest block is not divisible by a kept one.
-    def inner_key(entry: Entry) -> tuple:
-        lead = entry[0]
-        return key(tuple(0 if i in loc else e for i, e in enumerate(lead))), key(lead)
-
-    kept_projs: List[Exponents] = []
+    # restricted to the rest block is not divisible by a kept one, taken by
+    # ascending restricted, then full, leading monomial
+    guards, pack, unpack = packing.guards, packing.pack, packing.unpack
+    ranked = sorted(
+        (pack(tuple(0 if i in loc else e for i, e in enumerate(unpack(entry[0])))),
+         entry[0], entry)
+        for entry in entries)
+    kept_projs: List[int] = []
     chosen: List[Entry] = []
-    for entry in sorted(reduced_entries, key=inner_key):
-        proj = tuple(entry[0][i] for i in rest)
-        if not any(_divides(kp, proj) for kp in kept_projs):
+    for proj, _, entry in ranked:
+        if all((proj - kp) & guards for kp in kept_projs):
             kept_projs.append(proj)
             chosen.append(entry)
-    return GroebnerBasis(ring, order, comp_order, chosen, loc)
+    return GroebnerBasis(ring, order, comp_order, chosen, loc, packing)
 
 
 def is_groebner_basis(
@@ -573,9 +693,12 @@ def is_groebner_basis(
     if not elems:
         return True
     p = elems[0].ring.domain.characteristic
-    entries = [_poly_entry(g, order) for g in elems]
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if _reduce(spolynomial(entries[i], entries[j]), entries, order, p)[0]:
-                return False
-    return True
+
+    def run(packing):
+        entries = [_poly_entry(g, packing) for g in elems]
+        return not any(
+            _reduce(spolynomial(entries[i], entries[j], packing), entries, packing, p)[0]
+            for i in range(len(entries)) for j in range(i + 1, len(entries)))
+
+    return _widening(order, elems[0].ring.nvars,
+                     _width(chain.from_iterable(g.terms for g in elems)), run)

@@ -1,22 +1,24 @@
 """Monomial orders as sortable keys.
 
-An order maps an exponent tuple to a flat tuple key; monomial comparison is
-tuple comparison of keys.  Each order compiles once, at construction, its
-``lead_key``, whose *smallest* value is the *greatest* monomial, so ``min``
-and ``heapq`` pop leading terms directly.  Three kinds are provided:
+An order maps an exponent tuple to its *key*, a tuple of rows; monomial
+comparison is tuple comparison of keys, greater key, greater monomial.
+Every row is the sum of the exponents of some variables, so a key is linear
+in the exponents and the sum of two monomials' keys is the key of their
+product.  Three kinds are provided:
 
-* ``lex``       -- ``tuple(map(neg, e))``: exponents compared left to right;
-* ``degrevlex`` -- ``tuple(accumulate(map(neg, e)))[::-1]``: the negated
-  total degree, then the negated degrees with the last variables dropped one
-  by one, so ties in degree are broken by the *smallest* exponent on the
-  *last* variable winning;
+* ``lex``       -- the rows are e_0, ..., e_{n-1}: exponents compared left to
+  right;
+* ``degrevlex`` -- the rows are the prefix sums e_0 + ... + e_{k-1}, longest
+  first, so the total degree is on top and ties in degree are broken by the
+  *smallest* exponent on the *last* variable winning;
 * ``block``     -- an ordered list of variable blocks, each carrying its own
-  lex/degrevlex inner order; the inner keys are concatenated in block order,
-  so keys compare block by block, which gives the elimination property for
-  the leading blocks.
+  lex/degrevlex inner order; the rows of each block follow those of the
+  blocks before it, so keys compare block by block, which gives the
+  elimination property for the leading blocks.
 
-``key`` is the negated ``lead_key``: greater key, greater monomial.  The
-reducers in ``groebner`` compare monomials with ``lead_key``.
+Each order compiles its key function once, at construction.  ``parts``
+gives the same rows as (block, inner kind) pairs for a ring of n variables;
+``groebner`` packs them into one int per monomial.
 
 Orders are immutable and hashable so they can serve as cache keys.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from operator import neg
 from typing import Callable, Iterable, Sequence
 
 LEX = "lex"
@@ -40,21 +41,15 @@ class OrderError(ValueError):
     """Raised for malformed order specifications."""
 
 
-def _lex_lead_key(exps: Sequence[int]) -> tuple:
-    return tuple(map(neg, exps))
+def _degrevlex_key(exps: Sequence[int]) -> tuple:
+    return tuple(accumulate(exps))[::-1]
 
 
-def _degrevlex_lead_key(exps: Sequence[int]) -> tuple:
-    return tuple(accumulate(map(neg, exps)))[::-1]
-
-
-def _block_lead_key(parts, exps: Sequence[int]) -> tuple:
+def _block_key(parts, exps: Sequence[int]) -> tuple:
     out = []
     for idxs, inner_lex in parts:
-        if inner_lex:
-            out += [-exps[i] for i in idxs]
-        else:
-            out += tuple(accumulate([-exps[i] for i in idxs]))[::-1]
+        rows = [exps[i] for i in idxs]
+        out += rows if inner_lex else tuple(accumulate(rows))[::-1]
     return tuple(out)
 
 
@@ -69,7 +64,7 @@ class MonomialOrder:
 
     kind: str
     blocks: tuple = field(default=())
-    lead_key: Callable[[Sequence[int]], tuple] = field(
+    _key: Callable[[Sequence[int]], tuple] = field(
         init=False, repr=False, compare=False
     )
 
@@ -77,8 +72,8 @@ class MonomialOrder:
         if self.kind in _SIMPLE_KINDS:
             if self.blocks:
                 raise OrderError(f"{self.kind} order takes no blocks")
-            lead_key = _lex_lead_key if self.kind == LEX else _degrevlex_lead_key
-            object.__setattr__(self, "lead_key", lead_key)
+            key = tuple if self.kind == LEX else _degrevlex_key
+            object.__setattr__(self, "_key", key)
             return
         if self.kind != BLOCK:
             raise OrderError(f"unknown order kind {self.kind!r}")
@@ -98,7 +93,14 @@ class MonomialOrder:
         # inlined because block keys are hot in eliminations; a partial of a
         # module-level function keeps the order picklable
         parts = tuple((idxs, inner == LEX) for idxs, inner in self.blocks)
-        object.__setattr__(self, "lead_key", partial(_block_lead_key, parts))
+        object.__setattr__(self, "_key", partial(_block_key, parts))
+
+    def parts(self, nvars: int) -> tuple:
+        """The order as (variable-index tuple, inner kind) blocks, leading
+        block first, for a ring of nvars variables."""
+        if self.kind in _SIMPLE_KINDS:
+            return ((tuple(range(nvars)), self.kind),)
+        return self.blocks
 
     def validate(self, nvars: int) -> None:
         """Check the order covers exactly the variables of an nvars ring."""
@@ -111,9 +113,8 @@ class MonomialOrder:
             )
 
     def key(self, exps: Sequence[int]) -> tuple:
-        """Sortable key; greater key means greater monomial (the negated
-        ``lead_key``)."""
-        return tuple(map(neg, self.lead_key(exps)))
+        """Sortable key; greater key means greater monomial."""
+        return self._key(exps)
 
     def greater(self, a: Sequence[int], b: Sequence[int]) -> bool:
         return self.key(a) > self.key(b)

@@ -16,11 +16,16 @@ denominators above 2^64, so every basis and input has denominators to
 clear and reduction scales the work by large factors; over GF(32003)
 residues of full range, which grow unreduced until they are popped.
 
-Support masks are a prefilter only: on exponent tuples of up to 80
-variables a mask never rules out a true divisor, and in a 72-variable ring
-whose generators use variables above bit 63 the basis is still a Groebner
-basis (unpruned check), reduces its inputs to zero, and equals the one
-computed in three variables.
+The packed monomials of the kernel agree with their tuple definitions:
+on up to 80 variables, under lex, degrevlex and three-block orders, with
+degrees up to the field limit, packing round-trips, and divisibility, lcm,
+coprimality, degree, product and comparison are those of the exponent
+tuples; an lcm past the limit raises.  In a 72-variable ring whose
+generators use variables above bit 63 the basis is still a Groebner basis
+(unpruned check), reduces its inputs to zero, and equals the one computed
+in three variables.  A lex basis whose degree outgrows the first field
+width equals sympy's, and the run at the widened width forms exactly the
+S-polynomials of a run that started wide.
 """
 
 from fractions import Fraction
@@ -31,7 +36,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealdec.domains import QQ, PrimeField
-from idealdec.groebner import _divides, _support, buchberger, is_groebner_basis
+import idealdec.groebner as groebner
+from idealdec.groebner import (
+    _divides,
+    _Overflow,
+    _packing,
+    buchberger,
+    is_groebner_basis,
+)
 from idealdec.orders import block_order, degrevlex_order, lex_order
 from idealdec.rings import PolyRing
 
@@ -214,28 +226,68 @@ def test_tall_coefficients_match_sympy(case, order_name):
     assert ref.contains(_sympy_expr(f - nf))
 
 
-# support masks: exponent tuples of up to 80 variables, at most 12 nonzero
-def _exponent_triples(n):
-    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 4),
-                           max_size=12).map(
-        lambda d: tuple(d.get(i, 0) for i in range(n)))
-    return st.tuples(exps, exps, exps)
+# packed monomials: up to 80 variables, at most 12 of them in a monomial,
+# degree below the field limit 2^(W-1)
+@st.composite
+def _packed_case(draw):
+    n = draw(st.integers(1, 80))
+    width = draw(st.sampled_from([8, 10, 16]))
+    limit = 1 << (width - 1)
+    kind = draw(st.sampled_from(["lex", "degrevlex", "blocks"]))
+    if kind == "lex":
+        order = lex_order()
+    elif kind == "degrevlex":
+        order = degrevlex_order()
+    else:
+        perm = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) \
+            if n > 1 else []
+        bounds = [0, *cuts, n]
+        order = block_order(
+            (tuple(perm[lo:hi]), draw(st.sampled_from(["lex", "degrevlex"])))
+            for lo, hi in zip(bounds, bounds[1:]))
+
+    def monomial():
+        # the exponents are the gaps between sorted cuts below the limit
+        support = draw(st.lists(st.integers(0, n - 1), max_size=12, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(0, limit - 1),
+                                    min_size=len(support), max_size=len(support))))
+        e = [0] * n
+        for i, lo, hi in zip(support, [0, *cuts], cuts):
+            e[i] = hi - lo
+        return tuple(e)
+
+    return order, n, width, monomial(), monomial(), monomial()
 
 
 @_settings
-@given(triple=st.integers(1, 80).flatmap(_exponent_triples))
-def test_support_mask_never_rejects_a_divisor(triple):
-    a, b, d = triple
-    multiple = tuple(map(add, a, d))
-    assert _divides(a, multiple)
-    assert not _support(a) & ~_support(multiple)
-    # coprime exactly when the masks are disjoint
-    assert (not _support(a) & _support(b)) == (not any(map(min, a, b)))
-    assert [i for i in range(len(a)) if _support(a) >> i & 1] == \
-        [i for i, e in enumerate(a) if e]
+@given(case=_packed_case())
+def test_packed_monomials_match_tuple_definitions(case):
+    order, n, width, a, b, d = case
+    packing = _packing(order, n, width)
+    pack, guards, limit = packing.pack, packing.guards, 1 << (width - 1)
+    ca, cb, cd = pack(a), pack(b), pack(d)
+    assert packing.unpack(ca) == a
+    assert ca & packing.field == sum(a)
+    assert (ca < cb) == (order.key(a) < order.key(b))
+    assert (ca == cb) == (a == b)
+    assert (not (cb - ca) & guards) == _divides(a, b)
+    product = tuple(map(add, a, d))
+    if sum(product) < limit:
+        assert ca + cd == pack(product)
+        assert not (ca + cd - ca) & guards
+    common = tuple(map(max, a, b))
+    if sum(common) < limit:
+        m = packing.lcm(ca, cb)
+        assert packing.from_m(m) == pack(common)
+        # coprime exactly when the lcm's degree is the sum of the degrees
+        assert (m & packing.field == sum(a) + sum(b)) == (not any(map(min, a, b)))
+    else:
+        with pytest.raises(_Overflow):
+            packing.lcm(ca, cb)
 
 
-# three of 72 variables, one below bit 63 and two above it, in increasing
+# three of 72 variables, one of index below 64 and two above, in increasing
 # order, so a basis in them equals the one in Q[x,y,z] or GF(7)[x,y,z]
 _WIDE = 72
 _wide_vars = st.tuples(
@@ -245,8 +297,8 @@ _wide_vars = st.tuples(
 
 @_settings
 @given(gens=_gens, positions=_wide_vars, order_name=_order, modulus=_modulus)
-def test_wide_ring_bases_use_masks_above_bit_63(gens, positions, order_name,
-                                               modulus):
+def test_wide_ring_bases_use_variables_above_63(gens, positions, order_name,
+                                                modulus):
     wide = PolyRing(tuple(f"v{i}" for i in range(_WIDE)), FIELDS[modulus])
 
     def embed(terms):
@@ -268,3 +320,43 @@ def test_wide_ring_bases_use_masks_above_bit_63(gens, positions, order_name,
         str(wide.poly(embed({e: getattr(c, "value", c)
                              for e, c in g.terms.items()})))
         for g in small.elements)
+
+
+# x^200*y - 1 and y^20 - x: the lex basis holds y^4001 - 1, whose degree
+# outgrows the field width chosen for the inputs' degree 201
+_XY = sympy.symbols("x y")
+
+
+def _widening_run(monkeypatch, ring, wide):
+    """The lex basis of the two generators and the widths of the
+    S-polynomials formed, starting at 64 bits when ``wide``."""
+    if wide:
+        monkeypatch.setattr(groebner, "_width", lambda monomials: 64)
+    real = groebner.spolynomial
+    widths = []
+
+    def counted(f, g, packing=None):
+        widths.append(packing.width)
+        return real(f, g, packing)
+
+    monkeypatch.setattr(groebner, "spolynomial", counted)
+    G = buchberger([ring.parse("x^200*y - 1"), ring.parse("y^20 - x")], lex_order())
+    monkeypatch.undo()
+    return G, widths
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_width_restart_matches_sympy_and_a_wide_run(monkeypatch, modulus):
+    ring = PolyRing(("x", "y"), FIELDS[modulus])
+    G, widths = _widening_run(monkeypatch, ring, wide=False)
+    wide, wide_widths = _widening_run(monkeypatch, ring, wide=True)
+    assert widths[0] < 13 <= widths[-1]  # 4001 needs 12 bits and a guard
+    assert widths.count(widths[-1]) == len(wide_widths)
+    assert G.elements == wide.elements
+    x, y = _XY
+    options = {"modulus": modulus} if modulus else {}
+    ref = sympy.groebner([x**200 * y - 1, y**20 - x], x, y, order="lex",
+                         **options)
+    assert sorted(map(str, G.elements)) == sorted(
+        str(ring.parse(str(e.as_expr()).replace("**", "^"))) for e in ref.exprs)
+    assert "y^4001" in str(G.elements[0]) + str(G.elements[-1])
