@@ -55,7 +55,7 @@ from .ideals import (
 )
 from .indepsets import best_independent_set
 from .orders import degrevlex_order
-from .polygcd import exact_divide, normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
+from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
 from .rings import Polynomial, PolyRing, extend_ring, fresh_name, inject, project
 from .symmetry import SymmetryAction, UnionFind
 
@@ -220,27 +220,14 @@ def _split_branches(
     return [ideal_sum(I, [back(part.poly) ** part.multiplicity]) for part in parts]
 
 
-def _squarefree_part_in(m: Polynomial, v: int) -> Polynomial:
-    d = m.derivative(v)
-    if d.is_zero():
-        return m
-    g = poly_gcd(m, d)
-    if g.is_constant():
-        return m
-    return normalize_assoc(primitive_in(exact_divide(m, g), v))
+def _radical_zero_dim(I: Ideal, outcomes: Sequence[FactorOutcome]) -> Ideal:
+    """Radical of a zero-dimensional localized ideal at a leaf of the split.
 
-
-def _radical_zero_dim(
-    I: Ideal, u: Iterable[int], minpolys: Sequence[Tuple[int, Polynomial]]
-) -> Ideal:
-    """Radical of a zero-dimensional localized ideal: adjoin the squarefree
-    part of each variable's minimal polynomial (the base field has
-    characteristic zero, so this is exact)."""
-    extra = []
-    for v, m in minpolys:
-        s = _squarefree_part_in(m, v)
-        if s.degree_in(v) < m.degree_in(v):
-            extra.append(s)
+    ``outcomes`` are the splits of the variables' minimal polynomials.  At a
+    leaf each has one part p^k, so p is the squarefree part of the minimal
+    polynomial; adjoining p for every k > 1 gives the radical (the base
+    field has characteristic zero, so this is exact)."""
+    extra = [o.parts[0].poly for o in outcomes if o.parts[0].multiplicity > 1]
     if not extra:
         return I
     return ideal_sum(I, extra)
@@ -337,20 +324,21 @@ def zero_dim_decompose(
         return [
             PrimaryComponent(I, I, True, certificate="dimension-1", provenance=prov)
         ]
-    # the variables' own minimal polynomials, for the radical at a leaf
-    minpolys: List[Tuple[int, Polynomial]] = []
+    # the splits of the variables' own minimal polynomials, for the radical
+    # at a leaf
+    variable_outcomes: List[FactorOutcome] = []
     obligations: List[str] = []
     rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
     for _, m, v, outcome, back in _primitive_candidates(
         I, u, gb.rest_vars, seed, _SPLIT_FORMS, rng_seed
     ):
-        if m.ring == I.ring:
-            minpolys.append((v, m))
         if _splits(outcome):
             comps: List[PrimaryComponent] = []
             for branch in _split_branches(I, outcome.parts, back):
                 comps.extend(zero_dim_decompose(branch, u, seed, _depth + 1))
             return comps
+        if m.ring == I.ring:
+            variable_outcomes.append(outcome)
         part = outcome.parts[0]
         if (part.irreducible is True and part.multiplicity == 1
                 and m.degree_in(v) == D):
@@ -359,7 +347,7 @@ def zero_dim_decompose(
         if part.irreducible is None:
             obligations.append(outcome.obligation or f"factor {m}")
     # leaf: no split found anywhere
-    R = _radical_zero_dim(I, u, minpolys)
+    R = _radical_zero_dim(I, variable_outcomes)
     maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
     prov = Provenance(u_names=u_names, depth=_depth)
     if maximality.status == MAXIMAL:

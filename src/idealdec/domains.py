@@ -17,11 +17,21 @@ class DomainError(ValueError):
     """Raised for invalid domain construction or coercion."""
 
 
+# psi_13, the least strong pseudoprime to every prime base up to 41 (Sorenson
+# and Webster, Math. Comp. 2017): below it, those bases decide primality
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin primality test, exact below MILLER_RABIN_BOUND.
+
+    Composites are recognised at any size, but at or above the bound a number
+    passing every witness may be composite: that raises DomainError."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -29,8 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Sufficient witness set for n < 3,317,044,064,679,887,385,961,981.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -40,6 +49,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MILLER_RABIN_BOUND:
+        raise DomainError(
+            f"cannot decide whether {n} is prime: the test is exact only "
+            f"below {MILLER_RABIN_BOUND}"
+        )
     return True
 
 

@@ -1,11 +1,15 @@
 """Bounded univariate factorization over Q and certificates over Q(u).
 
 The rational factorizer is the classical big-prime method: squarefree
-decomposition, Cantor-Zassenhaus over GF(p) for a prime p exceeding twice
-the factor coefficient bound, then subset recombination with exact trial
-division.  It is complete up to an explicit degree/recombination budget
-and raises FactorizationIncomplete beyond it -- callers must treat that as
-"don't know", never as "irreducible".
+decomposition (``polygcd.squarefree_decomposition_in`` on Q[x], the one
+squarefree routine of the package), Cantor-Zassenhaus over GF(p) for a
+prime p exceeding twice the factor coefficient bound, then subset
+recombination with exact trial division.  Trial division is integer long
+division: the divisors are primitive, so by Gauss's lemma no rational
+arithmetic is needed.  The factorizer is complete up to an explicit
+degree/recombination budget and raises FactorizationIncomplete beyond it,
+or when the prime it needs lies past the range where ``is_prime`` is
+exact -- callers must treat that as "don't know", never as "irreducible".
 
 For a polynomial in T over Q[u] (u a tuple of base variables) full
 factorization is out of scope; instead a small certificate toolkit decides
@@ -32,14 +36,14 @@ from math import gcd as int_gcd
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .domains import QQ, is_prime
+from .domains import MILLER_RABIN_BOUND, QQ, is_prime
 from .polygcd import (
     normalize_assoc,
     poly_sqrt,
     primitive_in,
     squarefree_decomposition_in,
 )
-from .rings import Polynomial
+from .rings import Polynomial, PolyRing
 
 IntPoly = List[int]
 
@@ -49,7 +53,7 @@ class FactorizationIncomplete(Exception):
 
 
 # ---------------------------------------------------------------------------
-# dense integer / rational univariate helpers
+# dense integer univariate helpers
 
 
 def _trim(c: IntPoly) -> IntPoly:
@@ -62,15 +66,8 @@ def _deg(c: Sequence[int]) -> int:
     return len(c) - 1
 
 
-def _content(c: Sequence[int]) -> int:
-    g = 0
-    for a in c:
-        g = int_gcd(g, a)
-    return g
-
-
 def _primitive(c: Sequence[int]) -> IntPoly:
-    g = _content(c)
+    g = int_gcd(*c)
     if g == 0:
         return []
     if c[-1] < 0:
@@ -78,93 +75,28 @@ def _primitive(c: Sequence[int]) -> IntPoly:
     return [a // g for a in c]
 
 
-def _q_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+def _z_exact_div(a: Sequence[int], b: Sequence[int]) -> Optional[IntPoly]:
+    """a / b over Z when exact (b primitive), else None.
+
+    Integer long division.  For primitive b, Gauss's lemma makes b divide a
+    in Q[x] iff it does in Z[x], so the division is exact iff lc(b) divides
+    every step's leading coefficient and nothing remains."""
     r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     db = _deg(b)
     lb = b[-1]
-    while _deg(_trim(r)) >= db and r:
-        dr = _deg(r)
-        t = r[-1] / lb
-        q[dr - db] = t
-        for i in range(db + 1):
-            r[dr - db + i] -= t * b[i]
-        _trim(r)
-    return _trim(q), r
-
-
-def _q_gcd_primitive(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """Primitive integer gcd of two integer polynomials (monic Euclid)."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb:
-        _, fr = _q_divmod(fa, fb)
-        fa, fb = fb, _trim(fr)
-    if not fa:
-        return []
-    den = 1
-    for c in fa:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return _primitive([int(c * den) for c in fa])
-
-
-def _z_derivative(c: Sequence[int]) -> IntPoly:
-    return _trim([i * c[i] for i in range(1, len(c))])
-
-
-def _z_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _z_exact_div(a: Sequence[int], b: Sequence[int]) -> Optional[IntPoly]:
-    """a / b over Z when exact (both primitive), else None."""
-    q, r = _q_divmod([Fraction(x) for x in a], [Fraction(x) for x in b])
-    if _trim(list(r)):
-        return None
-    out = []
-    for c in q:
-        if c.denominator != 1:
+    q = [0] * max(len(r) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        t, rem = divmod(r[shift + db], lb)
+        if rem:
             return None
-        out.append(c.numerator)
-    return out
-
-
-def _squarefree_z(f: IntPoly) -> List[Tuple[IntPoly, int]]:
-    """Squarefree decomposition of a primitive integer polynomial."""
-    out: List[Tuple[IntPoly, int]] = []
-    g = _q_gcd_primitive(f, _z_derivative(f))
-    if _deg(g) == 0:
-        return [(f, 1)]
-    c = _z_exact_div(f, g)
-    k = 1
-    while _deg(c) > 0:
-        d = _q_gcd_primitive(c, g)
-        h = _z_exact_div(c, d)
-        if _deg(h) > 0:
-            out.append((_primitive(h), k))
-        if _deg(d) == 0:
-            break
-        g = _z_exact_div(g, d)
-        c = d
-        k += 1
-    return out
+        q[shift] = t
+        for i in range(db + 1):
+            r[shift + i] -= t * b[i]
+    return None if any(r) else q
 
 
 # ---------------------------------------------------------------------------
 # GF(p) dense arithmetic (plain ints)
-
-
-def _gp_trim(a: IntPoly) -> IntPoly:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _gp_mul(a: Sequence[int], b: Sequence[int], p: int) -> IntPoly:
@@ -175,7 +107,7 @@ def _gp_mul(a: Sequence[int], b: Sequence[int], p: int) -> IntPoly:
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _gp_trim(out)
+    return _trim(out)
 
 
 def _gp_divmod(a: Sequence[int], b: Sequence[int], p: int):
@@ -189,8 +121,8 @@ def _gp_divmod(a: Sequence[int], b: Sequence[int], p: int):
         q[shift] = t
         for i in range(db + 1):
             r[shift + i] = (r[shift + i] - t * b[i]) % p
-        _gp_trim(r)
-    return _gp_trim(q), r
+        _trim(r)
+    return _trim(q), r
 
 
 def _gp_monic(a: Sequence[int], p: int) -> IntPoly:
@@ -227,7 +159,7 @@ def _gp_sub(a: Sequence[int], b: Sequence[int], p: int) -> IntPoly:
         out[i] = c
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
-    return _gp_trim(out)
+    return _trim(out)
 
 
 def _distinct_degree(f: IntPoly, p: int) -> List[Tuple[IntPoly, int]]:
@@ -257,7 +189,7 @@ def _equal_degree_split(f: IntPoly, d: int, p: int, rng: random.Random) -> List[
     e = (p**d - 1) // 2
     while True:
         r = [rng.randrange(p) for _ in range(n)]
-        r = _gp_trim(r)
+        r = _trim(r)
         if len(r) <= 1:
             continue
         g = _gp_gcd(r, f, p)
@@ -281,17 +213,32 @@ def _factor_mod_p(f: IntPoly, p: int, rng: random.Random) -> List[IntPoly]:
     return out
 
 
+def _squarefree_mod(f: IntPoly, p: int) -> Optional[IntPoly]:
+    """f mod p when it is squarefree with a unit leading coefficient."""
+    if f[-1] % p == 0:
+        return None
+    fp = _trim([c % p for c in f])
+    df = _trim([i * f[i] % p for i in range(1, len(f))])
+    if not df or len(_gp_gcd(fp, df, p)) != 1:
+        return None
+    return fp
+
+
 def _next_usable_prime(f: IntPoly, start: int) -> int:
-    """Smallest prime >= start keeping f squarefree with unit lc."""
+    """Smallest prime >= start keeping f squarefree with unit lc.
+
+    Raises FactorizationIncomplete at MILLER_RABIN_BOUND, beyond which
+    ``is_prime`` cannot decide."""
     p = max(start, 3)
     if p % 2 == 0:
         p += 1
     while True:
-        if is_prime(p) and f[-1] % p != 0:
-            fp = _gp_trim([c % p for c in f])
-            df = _gp_trim([i * f[i] % p for i in range(1, len(f))])
-            if df and len(_gp_gcd(fp, df, p)) == 1:
-                return p
+        if p >= MILLER_RABIN_BOUND:
+            raise FactorizationIncomplete(
+                f"no usable prime below {MILLER_RABIN_BOUND}"
+            )
+        if is_prime(p) and _squarefree_mod(f, p) is not None:
+            return p
         p += 2
 
 
@@ -300,11 +247,8 @@ _PATTERN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def _degree_pattern_mask(f: IntPoly, p: int) -> Optional[int]:
     """Bitmask of degrees of monic divisors of f mod p (None if unusable)."""
-    if f[-1] % p == 0:
-        return None
-    fp = _gp_trim([c % p for c in f])
-    df = _gp_trim([i * f[i] % p for i in range(1, len(f))])
-    if not df or len(_gp_gcd(fp, df, p)) != 1:
+    fp = _squarefree_mod(f, p)
+    if fp is None:
         return None
     mask = 1
     for part, d in _distinct_degree(_gp_monic(fp, p), p):
@@ -333,21 +277,27 @@ def _pattern_proves_irreducible(f: IntPoly) -> bool:
     return False
 
 
-def _rational_roots(f: IntPoly, cap: int = 400) -> Tuple[List[Fraction], bool]:
+# the rational-root search lists the divisors of the constant and leading
+# coefficients by trial division, and gives up (incomplete) past either cap
+_ROOT_SEARCH_DIVISORS = 400
+_ROOT_SEARCH_STEPS = 10**5
+
+
+def _rational_roots(f: IntPoly) -> Tuple[List[Fraction], bool]:
     """(rational roots of f, search-was-complete flag)."""
 
     def divisors(n: int) -> Optional[List[int]]:
         n = abs(n)
+        if isqrt(n) > _ROOT_SEARCH_STEPS:
+            return None
         out = []
-        i = 1
-        while i * i <= n:
+        for i in range(1, isqrt(n) + 1):
             if n % i == 0:
                 out.append(i)
                 if i != n // i:
                     out.append(n // i)
-                if len(out) > cap:
+                if len(out) > _ROOT_SEARCH_DIVISORS:
                     return None
-            i += 1
         return out
 
     const = next((c for c in f if c != 0), 0)
@@ -378,45 +328,38 @@ _MAX_MODULAR_FACTORS = 14
 _MAX_DEGREE = 24
 
 
-def _factor_squarefree_z(f: IntPoly, rng: random.Random) -> List[IntPoly]:
-    """Irreducible factors of a primitive squarefree integer polynomial."""
+def _factor_squarefree(f: IntPoly, seed: int) -> List[IntPoly]:
+    """Irreducible factors of a primitive squarefree integer polynomial,
+    sorted by degree, then by coefficients."""
     n = _deg(f)
-    if n <= 1:
-        return [f]
-    # linear factors via rational roots (cheap, and settles n <= 3)
-    work = list(f)
-    out: List[IntPoly] = []
-    roots, roots_complete = _rational_roots(work)
-    for root in roots:
-        lin = [-root.numerator, root.denominator]
-        while True:
-            q = _z_exact_div(work, lin)
-            if q is None:
-                break
-            out.append(_primitive(lin))
-            work = _primitive(q)
-        if _deg(work) <= 0:
-            break
-    n = _deg(work)
-    if n <= 0:
-        return sorted(out)
-    if (n <= 3 and roots_complete) or _pattern_proves_irreducible(work):
-        # rootless degree <= 3 (with a completed root search) is irreducible
-        return sorted(out + [work])
     if n > _MAX_DEGREE:
         raise FactorizationIncomplete(f"degree {n} exceeds budget {_MAX_DEGREE}")
-    lc = abs(work[-1])
-    norm2 = isqrt(sum(c * c for c in work)) + 1
-    bound = (1 << n) * (norm2 + lc) * lc * 2 + 1
-    p = _next_usable_prime(work, bound)
-    modular = _factor_mod_p(_gp_monic([c % p for c in work], p), p, rng)
-    r = len(modular)
-    if r > _MAX_MODULAR_FACTORS:
-        raise FactorizationIncomplete(
-            f"{r} modular factors exceed recombination budget"
-        )
-    out.extend(_recombine(work, modular, p))
-    return sorted(out)
+    if n <= 1:
+        return [f]
+    # linear factors via rational roots (cheap, and settles n <= 3); f is
+    # squarefree, so each root divides it exactly once
+    roots, roots_complete = _rational_roots(f)
+    out = [[-root.numerator, root.denominator] for root in roots]
+    work = f
+    for lin in out:
+        work = _z_exact_div(work, lin)
+    n = _deg(work)
+    if n > 0:
+        # rootless degree <= 3 (with a completed root search) is irreducible
+        if (n <= 3 and roots_complete) or _pattern_proves_irreducible(work):
+            out.append(work)
+        else:
+            lc = abs(work[-1])
+            norm2 = isqrt(sum(c * c for c in work)) + 1
+            p = _next_usable_prime(work, (1 << n) * (norm2 + lc) * lc * 2 + 1)
+            rng = random.Random(seed ^ 0x5EED)
+            modular = _factor_mod_p(_gp_monic([c % p for c in work], p), p, rng)
+            if len(modular) > _MAX_MODULAR_FACTORS:
+                raise FactorizationIncomplete(
+                    f"{len(modular)} modular factors exceed recombination budget"
+                )
+            out.extend(_recombine(work, modular, p))
+    return sorted(out, key=lambda g: (len(g), g))
 
 
 def _recombine(work: IntPoly, modular: List[IntPoly], p: int) -> List[IntPoly]:
@@ -463,6 +406,9 @@ def _recombine(work: IntPoly, modular: List[IntPoly], p: int) -> List[IntPoly]:
             return found
 
 
+_UNIVARIATE = PolyRing(("x",), QQ)
+
+
 def factor_rational_univariate(
     coeffs: Sequence[Fraction], seed: int = 0
 ) -> List[Tuple[IntPoly, int]]:
@@ -472,24 +418,19 @@ def factor_rational_univariate(
     sorted deterministically; the rational unit is dropped.  Raises
     FactorizationIncomplete beyond the degree/recombination budget.
     """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    f = _trim([int(c * den) for c in coeffs])
-    if not f:
+    h = _UNIVARIATE.poly({(d,): c for d, c in enumerate(coeffs)})
+    if h.is_zero():
         raise ValueError("factoring the zero polynomial")
-    f = _primitive(f)
-    if _deg(f) == 0:
+    n = h.degree_in(0)
+    if n == 0:
         return []
-    if _deg(f) > _MAX_DEGREE:
-        raise FactorizationIncomplete(
-            f"degree {_deg(f)} exceeds budget {_MAX_DEGREE}"
-        )
-    rng = random.Random(seed ^ 0x5EED)
-    out: List[Tuple[IntPoly, int]] = []
-    for part, mult in _squarefree_z(f):
-        for g in _factor_squarefree_z(part, rng):
-            out.append((g, mult))
+    if n > _MAX_DEGREE:
+        raise FactorizationIncomplete(f"degree {n} exceeds budget {_MAX_DEGREE}")
+    out = [
+        (g, mult)
+        for part, mult in squarefree_decomposition_in(h, 0)
+        for g in _factor_squarefree(_integer_coeffs(part, 0), seed)
+    ]
     out.sort(key=lambda t: (_deg(t[0]), t[0], t[1]))
     return out
 
@@ -521,6 +462,11 @@ class FactorOutcome:
     parts: Tuple[FactorPart, ...]
     complete: bool
     obligation: Optional[str]
+
+
+def _integer_coeffs(h: Polynomial, v: int) -> IntPoly:
+    """Dense coefficients of h, univariate in x_v with integer coefficients."""
+    return [c.numerator for c in _univariate_coeffs(h, v)]
 
 
 def _univariate_coeffs(h: Polynomial, v: int) -> List[Fraction]:
@@ -652,19 +598,18 @@ def split_minimal_polynomial(
             parts.append(FactorPart(normalize_assoc(h), mult, True, "linear"))
             continue
         if not (h.support() - {v}):
-            # coefficients are rational: factor over Q, definitive over Q(u)
+            # coefficients are rational: factor over Q, definitive over Q(u);
+            # h is squarefree, primitive and integral already
             try:
-                factors = factor_rational_univariate(_univariate_coeffs(h, v), seed)
+                factors = _factor_squarefree(_integer_coeffs(h, v), seed)
             except FactorizationIncomplete as exc:
                 parts.append(FactorPart(normalize_assoc(h), mult, None, None))
                 obligations.append(f"factorization over Q incomplete: {exc}")
                 continue
-            for g, gmult in factors:
+            for g in factors:
                 cert = "linear" if _deg(g) == 1 else "rational-irreducible"
                 parts.append(
-                    FactorPart(
-                        _poly_from_intpoly(m.ring, v, g), mult * gmult, True, cert
-                    )
+                    FactorPart(_poly_from_intpoly(m.ring, v, g), mult, True, cert)
                 )
             continue
         if deg == 2:

@@ -252,6 +252,20 @@ def test_decompose_and_primality_refuse_prime_fields(capsys, gens_file):
     assert out.splitlines()[-1] == "x^2 + 5*y^2"
 
 
+@pytest.mark.parametrize("modulus, message", [
+    # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    (318665857834031151167461, "is not prime"),
+    # the least strong pseudoprime to bases 2..41: undecidable, so refused
+    (3317044064679887385961981, "cannot decide"),
+])
+def test_huge_composite_moduli_are_refused(capsys, gens_file, modulus, message):
+    path = gens_file(f"ring GF({modulus})[x,y]\nx^2 - y\nx*y - 1\n")
+    code, out, err = run(capsys, "groebner", path)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "bad ring header" in err and message in err
+
+
 def test_decompose_incomplete_exit_code(capsys, gens_file, monkeypatch):
     """A depth or budget overrun is an unfinished decomposition (exit 2),
     not an input error (exit 1)."""

@@ -84,6 +84,18 @@ def test_zero_dim_embedded_multiplicity(rxy):
     assert comp.certified
 
 
+def test_zero_dim_radical_of_a_repeated_part_over_the_base_field(rxyz):
+    # x's minimal polynomial over Q(y) is (x^2 - y)^2: one nonlinear part of
+    # multiplicity 2, whose base p = x^2 - y the leaf's radical adjoins
+    I = _ideal(rxyz, "x^4 - 2*x^2*y + y^2", "z")
+    comps = zero_dim_decompose(I, u=(1,))
+    assert len(comps) == 1
+    comp = comps[0]
+    assert comp.certified
+    assert comp.primary.equals(I)
+    assert comp.prime.equals(_ideal(rxyz, "x^2 - y", "z"))
+
+
 def test_zero_dim_galois_conjugates_need_linear_forms(rxy):
     # x^2-2, y^2-2 splits along x-y and x+y only after a linear form mixes
     # the variables; each branch is a degree-2 field

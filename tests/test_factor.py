@@ -6,6 +6,7 @@ import pytest
 
 from idealdec.domains import QQ, PrimeField
 from idealdec.factorize import (
+    FactorizationIncomplete,
     factor_rational_univariate,
     is_irreducible_over_q,
     split_minimal_polynomial,
@@ -49,6 +50,39 @@ def test_factor_keeps_irreducibles_whole():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor_rational_univariate(_coeffs(0))
+
+
+def test_rational_root_search_is_bounded():
+    # listing the divisors of 10^16 + 61 by trial division took 13 s; the
+    # search now gives up and the modular path settles the cubic
+    sympy = pytest.importorskip("sympy")
+    import time
+
+    c = 10000000000000061
+    start = time.perf_counter()
+    got = factor_rational_univariate(_coeffs(c, 0, 0, 1))
+    assert time.perf_counter() - start < 1.0
+    x = sympy.Symbol("x")
+    _, theirs = sympy.factor_list(x**3 + c, x)
+    assert [(sympy.Poly(f, x).all_coeffs()[::-1], m) for f, m in theirs] == [
+        (list(f), m) for f, m in got
+    ]
+
+
+def test_factorizer_refuses_primes_past_the_miller_rabin_bound():
+    # (x^2 + c)(x^2 + c + 1) has no rational roots, so it needs a prime
+    # above twice its coefficient bound, which is past the range where
+    # is_prime is exact
+    c = 10**24
+    f = [c * (c + 1), 0, 2 * c + 1, 0, 1]
+    with pytest.raises(FactorizationIncomplete, match="no usable prime"):
+        factor_rational_univariate(_coeffs(*f))
+    ring = PolyRing(("x",), QQ)
+    out = split_minimal_polynomial(ring.poly({(i,): a for i, a in enumerate(f)}),
+                                   0, base=())
+    assert not out.complete
+    assert [p.irreducible for p in out.parts] == [None]
+    assert "no usable prime" in out.obligation
 
 
 def test_is_irreducible_over_q():

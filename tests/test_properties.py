@@ -5,6 +5,9 @@
 * ``factor_rational_univariate`` of a product of small factors of total
   degree at most 8 gives the factors and multiplicities of
   ``sympy.factor_list``;
+* ``split_minimal_polynomial`` of a product of known factors in Q[y][x],
+  repeated and rational ones included, gives squarefree, pairwise coprime
+  parts p_i with prod p_i^{m_i} / m free of x;
 * ``ring.parse(str(f)) == f`` over Q and GF(7), the zero polynomial
   included;
 * random text fed to the parser raises nothing but ``ParseError`` or
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from idealdec.cli import EXIT_ERROR, EXIT_OK, main
 from idealdec.domains import QQ, DomainError, PrimeField
-from idealdec.factorize import factor_rational_univariate
+from idealdec.factorize import factor_rational_univariate, split_minimal_polynomial
 from idealdec.indepsets import minimal_hitting_sets
 from idealdec.polygcd import normalize_assoc, poly_gcd
 from idealdec.rings import ParseError, PolyRing
@@ -158,6 +161,60 @@ def test_factor_rational_univariate_matches_sympy(coeffs):
     )
     ours = sorted((tuple(f), m) for f, m in factor_rational_univariate(coeffs))
     assert ours == theirs
+
+
+# -- splitting over Q(y) -----------------------------------------------------
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_RXY = PolyRing(NAMES[:2], QQ)
+
+
+@st.composite
+def _known_factors(draw):
+    """m = c(y) * prod f_i^{k_i} in Q[x,y] with each f_i of degree 1 or 2 in
+    x; an f_i is free of y when ``rational`` is drawn, and x-degree of m is
+    at most 8."""
+    ring = _RXY
+    m = ring.one
+    if draw(st.booleans()):
+        m = m * ring.parse("2*y^2 + 3")
+    degree = 0
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        mult = draw(st.integers(1, 3))
+        if degree + deg * mult > 8:
+            break
+        rational = draw(st.booleans())
+        terms = {}
+        for d in range(deg + 1):
+            terms[(d, 0)] = draw(_small_fractions)
+            if not rational:
+                terms[(d, 1)] = Fraction(draw(st.integers(-2, 2)))
+        if not terms[(deg, 0)] and not terms.get((deg, 1)):
+            terms[(deg, 0)] = Fraction(1)
+        m = m * ring.poly(terms) ** mult
+        degree += deg * mult
+    return ring, m
+
+
+@_settings
+@given(case=_known_factors())
+@example(case=(_RXY, _RXY.parse("x^2 - y") ** 2 * _RXY.parse("2*x - 1") ** 3
+               * _RXY.parse("x^2 - 2")))
+def test_split_minimal_polynomial_parts_recompose(case):
+    ring, m = case
+    x = SYMBOLS[0]
+    out = split_minimal_polynomial(m, 0, base=(1,))
+    parts = [_to_sympy(ring, p.poly) for p in out.parts]
+    for p in parts:
+        assert sympy.degree(p, x) >= 1
+        assert sympy.degree(sympy.gcd(p, sympy.diff(p, x)), x) == 0
+    for p, q in combinations(parts, 2):
+        assert sympy.degree(sympy.gcd(p, q), x) == 0
+    product = sympy.Mul(*(p**part.multiplicity
+                          for p, part in zip(parts, out.parts)))
+    num, den = sympy.fraction(sympy.cancel(product / _to_sympy(ring, m)))
+    assert sympy.degree(num, x) == 0 and sympy.degree(den, x) == 0
 
 
 # -- parsing ------------------------------------------------------------------

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from idealdec.domains import PrimeField, QQ
+from idealdec.domains import (
+    MILLER_RABIN_BOUND,
+    DomainError,
+    PrimeField,
+    QQ,
+    is_prime,
+)
 from idealdec.orders import degrevlex_order, lex_order
 from idealdec.rings import (
     ParseError,
@@ -18,6 +24,33 @@ from idealdec.rings import (
     parse_ring_header,
     project,
 )
+
+
+# psi_12 = 399165290221 * 798330580441 passes every base up to 37, and
+# psi_13 every base up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert PSI_13 == MILLER_RABIN_BOUND
+    with pytest.raises(DomainError, match="cannot decide"):
+        is_prime(PSI_13)
+    # past the bound a witness still proves compositeness, but a number
+    # passing every witness is not called prime
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    with pytest.raises(DomainError, match="cannot decide"):
+        is_prime(2**89 - 1)
+    assert is_prime(2**61 - 1) and is_prime(32003) and not is_prime(32001)
+
+
+def test_prime_field_refuses_undecidable_moduli():
+    with pytest.raises(DomainError, match="not prime"):
+        PrimeField(PSI_12)
+    with pytest.raises(DomainError, match="cannot decide"):
+        PrimeField(PSI_13)
 
 
 def test_parse_format_round_trip(rxyz):
