@@ -9,7 +9,10 @@ The entry points are:
   into primary pieces by splitting minimal polynomials into coprime parts;
 * ``gtz_decompose`` -- full decomposition of an arbitrary ideal: localize at
   a best-ranked maximal independent set, decompose the zero-dimensional
-  extension, contract, and recurse on I + <h^m>;
+  extension, contract, and go on with the remainder I + <h^m> until the
+  components found meet to I; then prune to an irredundant intersection,
+  sending to the leave-one-out test only the components that prime
+  avoidance does not already mark as needed;
 * ``primality_check`` -- certify an ideal prime (or refute it) by combining
   a localized maximality certificate with the saturation identities
   I : c = I for the leading coefficients c, pruned by ideal symmetries;
@@ -36,6 +39,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .domains import QQ
@@ -67,7 +71,7 @@ NOT_MAXIMAL = "NOT_MAXIMAL"
 UNKNOWN = "UNKNOWN"
 
 # how many linear forms a split and the primality check's maximality
-# certificate try after the variables, and how deep GTZ may recurse
+# certificate try after the variables, and how deep GTZ's remainders may go
 _SPLIT_FORMS = 8
 _PRIMALITY_FORMS = 6
 _MAX_DEPTH = 16
@@ -92,7 +96,7 @@ class DecompositionIncomplete(DecompositionError):
 class Provenance:
     """How a component was produced: the independent set used, the
     (coefficient, exponent) saturation trail of its contraction, and the
-    recursion depth."""
+    depth: the index k of the remainder J_k it came from."""
 
     u_names: Tuple[str, ...] = ()
     saturations: Tuple[Tuple[str, int], ...] = ()
@@ -464,10 +468,25 @@ def _dedupe(components: List[PrimaryComponent]) -> List[PrimaryComponent]:
     return list(seen.values())
 
 
+def _meet(a: Optional[Ideal], b: Optional[Ideal]) -> Optional[Ideal]:
+    """a meet b, with None standing for the empty meet (the unit ideal)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return intersect(a, b)
+
+
 def _prune_redundant(
     I: Ideal, components: List[PrimaryComponent]
 ) -> List[PrimaryComponent]:
-    """Drop components not needed for the intersection to equal I."""
+    """Drop components not needed for the intersection to equal I.
+
+    After the containment filter, one leave-one-out sweep drops comps[i]
+    when the kept components before i and all components after i already
+    meet to I.  Dropping only enlarges the meet of the rest, so a component
+    kept once is never redundant later, and the sweep keeps what restarting
+    the leave-one-out scan after every drop would keep."""
     comps = list(components)
     # containment first: a component containing another is redundant
     keep: List[PrimaryComponent] = []
@@ -486,20 +505,35 @@ def _prune_redundant(
     comps = keep
     if len(comps) <= 1:
         return comps
-    # leave-one-out
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps)):
-            rest = [c for j, c in enumerate(comps) if j != i]
-            meet = rest[0].primary
-            for c in rest[1:]:
-                meet = intersect(meet, c.primary)
-            if meet.equals(I):
-                comps = rest
-                changed = True
-                break
-    return comps
+    # prime avoidance: if Q_i is redundant, the others meet inside Q_i, so
+    # their product lies in the prime P_i and some Q_j, with its radical P_j,
+    # lies in P_i.  So a component whose prime contains no other component's
+    # prime is needed, provided every prime is certified to be the radical;
+    # one uncertified component sends every component to the test.
+    certified = all(c.certified for c in comps)
+    tested = [
+        i for i, c in enumerate(comps)
+        if not certified
+        or any(c.prime.contains_ideal(d.prime) for j, d in enumerate(comps) if j != i)
+    ]
+    if not tested:
+        return comps
+    # after[i]: the meet of comps[i:], built only as far down as a test needs
+    after: List[Optional[Ideal]] = [None] * (len(comps) + 1)
+    for i in range(len(comps) - 1, tested[0], -1):
+        after[i] = _meet(comps[i].primary, after[i + 1])
+    kept: List[PrimaryComponent] = []
+    before: Optional[Ideal] = None
+    for i, c in enumerate(comps):
+        if i in tested:
+            rest = _meet(before, after[i + 1])
+            # I lies in every meet of components, so containment is equality
+            if rest is not None and I.contains_ideal(rest):
+                continue
+        kept.append(c)
+        if i < tested[-1]:
+            before = _meet(before, c.primary)
+    return kept
 
 
 def gtz_decompose(
@@ -509,13 +543,22 @@ def gtz_decompose(
 ) -> DecompositionResult:
     """Primary decomposition of an arbitrary ideal over the rationals.
 
-    Positive-dimensional ideals are localized at the best-ranked maximal
-    independent set u, the zero-dimensional extension is decomposed and
-    contracted back, and the remainder I + <h^m> (h the least common
-    multiple of the localized leading coefficients, m the saturation
-    exponent) is decomposed recursively.  Components are deduplicated and
-    pruned to an irredundant intersection.  ``budget`` caps how many
+    A loop over remainders J_0 = I, J_{k+1} = J_k + <h^m>: a positive-
+    dimensional J_k is localized at its best-ranked maximal independent set
+    u, the zero-dimensional extension is decomposed and contracted back, and
+    h is the least common multiple of the localized leading coefficients, m
+    its saturation exponent, so J_k = (J_k : h^inf) /\\ J_{k+1}.  A
+    zero-dimensional or unit remainder ends the loop, and so does the first
+    level after which the components found meet to I (the early exit of the
+    GTZ variants in Decker-Greuel-Pfister 1999); more than ``_MAX_DEPTH``
+    levels raise DecompositionIncomplete.  ``budget`` caps how many
     candidate independent sets of size dim are ranked at each level.
+
+    Components are deduplicated and pruned to an irredundant intersection:
+    a component containing another goes first, then one leave-one-out
+    sweep.  When every component is certified, a component whose prime
+    contains no other component's prime skips the leave-one-out test: by
+    prime avoidance it is never redundant.
 
     The zero ideal, which is prime, is its own single component (certificate
     ``zero-ideal``); the unit ideal has no components.
@@ -525,7 +568,7 @@ def gtz_decompose(
         return DecompositionResult(
             I, (PrimaryComponent(I, I, True, certificate="zero-ideal"),), True
         )
-    comps = _dedupe(_gtz(I, seed, budget, 0))
+    comps = _dedupe(_gtz(I, seed, budget))
     if not I.is_trivial():
         comps = _prune_redundant(I, comps)
     comps.sort(key=lambda c: (len(c.primary.canonical_generators()),
@@ -534,36 +577,42 @@ def gtz_decompose(
     return DecompositionResult(I, tuple(comps), complete)
 
 
-def _gtz(
-    I: Ideal, seed: int, budget: Optional[int], depth: int
-) -> List[PrimaryComponent]:
-    if depth > _MAX_DEPTH:
-        raise DecompositionIncomplete("decomposition recursion depth exceeded")
-    if I.is_trivial():
-        return []
-    dim = dimension(I)
-    if dim == 0:
-        comps = zero_dim_decompose(I, (), seed)
-        return [replace(c, provenance=replace(c.provenance, depth=depth))
-                for c in comps]
-    u = best_independent_set(I, dim, budget)
-    local = zero_dim_decompose(I, u, seed)
-    # when the localized ideal is already primary, local is [I] itself and
-    # the contraction below is exactly the saturation shortcut
-    out: List[PrimaryComponent] = [
-        _contract_component(c, u, depth) for c in local
-    ]
-    handles = saturation_coefficients(I, u)
-    if handles:
-        h = normalize_assoc(poly_lcm_many(handles))
-    else:
-        h = I.ring.one
-    if not h.is_constant():
-        m = saturate(I, h).exponent
-        if m > 0:
-            remainder = ideal_sum(I, [h ** m])
-            out.extend(_gtz(remainder, seed, budget, depth + 1))
-    return out
+def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
+    """The components of I from the remainders J_0 = I,
+    J_{k+1} = J_k + <h_k^m_k>, until the components found meet to I."""
+    out: List[PrimaryComponent] = []
+    # the meet of out; I lies in it, so I containing it means equality
+    meet: Optional[Ideal] = None
+    J = I
+    for depth in count():
+        if depth > _MAX_DEPTH:
+            raise DecompositionIncomplete("decomposition recursion depth exceeded")
+        if J.is_trivial():
+            return out
+        dim = dimension(J)
+        if dim == 0:
+            comps = zero_dim_decompose(J, (), seed)
+            out.extend(replace(c, provenance=replace(c.provenance, depth=depth))
+                       for c in comps)
+            return out
+        u = best_independent_set(J, dim, budget)
+        # when the localized ideal is already primary, this is J itself and
+        # the contraction is exactly the saturation shortcut
+        found = [_contract_component(c, u, depth)
+                 for c in zero_dim_decompose(J, u, seed)]
+        out.extend(found)
+        for c in found:
+            meet = _meet(meet, c.primary)
+        if meet is not None and I.contains_ideal(meet):
+            return out
+        handles = saturation_coefficients(J, u)
+        h = normalize_assoc(poly_lcm_many(handles)) if handles else J.ring.one
+        if h.is_constant():
+            return out
+        m = saturate(J, h).exponent
+        if m == 0:
+            return out
+        J = ideal_sum(J, [h ** m])
 
 
 # ---------------------------------------------------------------------------

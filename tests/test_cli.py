@@ -281,6 +281,19 @@ def test_decompose_incomplete_exit_code(capsys, gens_file, monkeypatch):
     assert "recursion depth exceeded" in err
 
 
+def test_decompose_depth_guard_in_the_remainder_loop(capsys, gens_file, monkeypatch):
+    """The real loop, not a stub: the edge ideal of the 5-cycle needs a
+    remainder past the first, so with no depth to spare it is unfinished."""
+    import idealdec.decompose as decompose_mod
+
+    monkeypatch.setattr(decompose_mod, "_MAX_DEPTH", 0)
+    cycle = "ring Q[x1,x2,x3,x4,x5]\nx1*x2\nx2*x3\nx3*x4\nx4*x5\nx5*x1\n"
+    code, out, err = run(capsys, "decompose", gens_file(cycle))
+    assert code == EXIT_UNKNOWN
+    assert out == ""
+    assert "decomposition recursion depth exceeded" in err
+
+
 # -- primality ----------------------------------------------------------------
 
 

@@ -1,9 +1,16 @@
 """Primary decomposition, maximality certification, primality verdicts."""
 
+import random
 import warnings
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealdec import decompose
+from idealdec.cli import EXIT_OK, main
 from idealdec.decompose import (
     MAXIMAL,
     DecompositionError,
@@ -11,6 +18,7 @@ from idealdec.decompose import (
     NOT_PRIME,
     PRIME,
     UNKNOWN,
+    PrimaryComponent,
     apply_automorphism,
     coefficient_orbits,
     gtz_decompose,
@@ -20,11 +28,13 @@ from idealdec.decompose import (
     stabilizes,
     zero_dim_decompose,
 )
-from idealdec.domains import PrimeField
+from idealdec.domains import QQ, PrimeField
 from idealdec.groebner import NotZeroDimensional, buchberger
-from idealdec.ideals import Ideal, IdealError, intersect, quotient, saturate
+from idealdec.ideals import Ideal, IdealError, ideal_sum, intersect, quotient, saturate
 from idealdec.rings import PolyRing
 from idealdec.symmetry import SymmetryAction
+
+from test_acceptance import DECOMPOSITION_CORPUS
 
 
 def _ideal(ring, *texts):
@@ -221,6 +231,243 @@ def test_gtz_deterministic(rxyz):
         for c in r2.components
     ]
     assert a == b
+
+
+# -- binomial edge ideals of paths -------------------------------------------
+#
+# The binomial edge ideal J_G = <x_i*y_j - x_j*y_i : ij an edge> is radical,
+# and its minimal primes are the P_S = <x_i, y_i : i in S> + the 2-minors of
+# each connected component of G - S, for S empty or a set of cut points: every
+# i in S joins components of G - S (Herzog, Hibi, Hreinsdottir, Kahle, Rauh
+# 2010).  For the path P_n there are Fibonacci many.
+
+
+def _path_ring(n):
+    names = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
+        f"y{i}" for i in range(1, n + 1)
+    )
+    return PolyRing(names, QQ)
+
+
+def _path_edge_ideal(n):
+    return _ideal(_path_ring(n),
+                  *(f"x{i}*y{i + 1} - x{i + 1}*y{i}" for i in range(1, n)))
+
+
+def _path_pieces(n, S):
+    """The vertex sets of the connected components of P_n - S."""
+    pieces, run = [], []
+    for v in range(1, n + 1):
+        if v in S:
+            if run:
+                pieces.append(run)
+            run = []
+        else:
+            run.append(v)
+    return pieces + [run] if run else pieces
+
+
+def _path_minimal_primes(n):
+    ring = _path_ring(n)
+    primes = []
+    for size in range(n + 1):
+        for S in map(set, combinations(range(1, n + 1), size)):
+            count = len(_path_pieces(n, S))
+            if any(len(_path_pieces(n, S - {i})) >= count for i in S):
+                continue
+            gens = [f"{a}{i}" for i in sorted(S) for a in "xy"]
+            for piece in _path_pieces(n, S):
+                gens += [f"x{i}*y{j} - x{j}*y{i}" for i, j in combinations(piece, 2)]
+            primes.append(_ideal(ring, *gens))
+    return primes
+
+
+def _canonical_set(ideals):
+    return {tuple(str(g) for g in J.canonical_generators()) for J in ideals}
+
+
+@pytest.mark.parametrize("n, count", [
+    (3, 2),
+    (4, 3),
+    (5, 5),
+    pytest.param(6, 8, marks=pytest.mark.slow),
+])
+def test_gtz_binomial_edge_ideal_of_a_path(n, count):
+    # from P4 on, the remainders run past the depth limit unless the loop
+    # stops once the components found meet to I
+    I = _path_edge_ideal(n)
+    expected = _path_minimal_primes(n)
+    assert len(expected) == count
+    result = gtz_decompose(I)
+    assert result.complete
+    assert len(result.components) == count
+    assert _canonical_set(c.prime for c in result.components) == _canonical_set(expected)
+    assert _reassemble(I.ring, result).equals(I)
+
+
+def test_cli_decomposes_the_path_on_four_vertices(capsys, tmp_path):
+    path = tmp_path / "p4.gens"
+    path.write_text("ring Q[x1,x2,x3,x4,y1,y2,y3,y4]\n"
+                    "x1*y2 - x2*y1\nx2*y3 - x3*y2\nx3*y4 - x4*y3\n")
+    code = main(["decompose", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert "components 3" in out and "complete yes" in out
+
+
+# -- pruning to an irredundant intersection ------------------------------------
+
+
+def _restart_prune(I, components):
+    """The leave-one-out scan that restarts after every drop: the reference
+    for decompose._prune_redundant, which must keep the same components in
+    the same order."""
+    comps = list(components)
+    keep = []
+    for i, c in enumerate(comps):
+        contained = False
+        for j, d in enumerate(comps):
+            if i == j:
+                continue
+            if c.primary.contains_ideal(d.primary) and not d.primary.contains_ideal(
+                c.primary
+            ):
+                contained = True
+                break
+        if not contained:
+            keep.append(c)
+    comps = keep
+    changed = True
+    while changed and len(comps) > 1:
+        changed = False
+        for i in range(len(comps)):
+            rest = [c for j, c in enumerate(comps) if j != i]
+            meet = rest[0].primary
+            for c in rest[1:]:
+                meet = intersect(meet, c.primary)
+            if meet.equals(I):
+                comps = rest
+                changed = True
+                break
+    return comps
+
+
+def _restricted_primary(I, S, k):
+    """I with the variables outside S set to 1, plus the k-th powers of the
+    variables in S: a component primary to <x_S> that contains I (None when
+    the restriction is the unit ideal).  Only for monomial ideals."""
+    ring = I.ring
+    gens = []
+    for g in I.generators:
+        ((exps, _),) = g.terms.items()
+        e = tuple(a if i in S else 0 for i, a in enumerate(exps))
+        if not any(e):
+            return None
+        gens.append(ring.monomial(e))
+    powers = [ring.var(ring.names[i]) ** k for i in S]
+    prime = Ideal(ring, [ring.var(ring.names[i]) for i in S])
+    return PrimaryComponent(Ideal(ring, gens + powers), prime, True)
+
+
+def _copy(c):
+    return replace(c, primary=Ideal(c.primary.ring, c.primary.generators))
+
+
+def _with_redundant_components(I, seed, extra):
+    """The components the GTZ loop finds for I, a fresh copy of each, and the
+    ``extra`` components, in an order drawn from ``seed``."""
+    found = decompose._dedupe(decompose._gtz(I, 0, None))
+    comps = found + [_copy(c) for c in found] + list(extra)
+    random.Random(seed).shuffle(comps)
+    return comps
+
+
+def _assert_same_prune(I, comps):
+    got = decompose._prune_redundant(I, comps)
+    want = _restart_prune(I, comps)
+    assert [id(c) for c in got] == [id(c) for c in want]
+    return got
+
+
+def _maximal_ideal_extras(I):
+    ring = I.ring
+    m = Ideal(ring, [ring.var(v) for v in ring.names])
+    if not m.contains_ideal(I):
+        return []
+    return [PrimaryComponent(ideal_sum(I, [g ** 3 for g in m.generators]), m, True)]
+
+
+def _cycle_edge_ideal(n):
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, n + 1)), QQ)
+    return _ideal(ring, *(f"x{i}*x{i % n + 1}" for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("k", range(len(DECOMPOSITION_CORPUS)))
+def test_prune_matches_the_restart_scan_on_the_corpus(k):
+    names, gens, _ = DECOMPOSITION_CORPUS[k]
+    I = _ideal(PolyRing(names, QQ), *gens)
+    comps = _with_redundant_components(I, k, _maximal_ideal_extras(I))
+    got = _assert_same_prune(I, comps)
+    assert len(got) < len(comps)
+
+
+@pytest.mark.parametrize("I", [
+    _cycle_edge_ideal(5),
+    _cycle_edge_ideal(6),
+    _path_edge_ideal(3),
+    _path_edge_ideal(4),
+], ids=["C5", "C6", "P3", "P4"])
+def test_prune_matches_the_restart_scan_on_edge_ideals(I):
+    comps = _with_redundant_components(I, 1, _maximal_ideal_extras(I))
+    got = _assert_same_prune(I, comps)
+    assert len(got) < len(comps)
+
+
+_monomial = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    var=st.integers(0, 2),
+    power=st.integers(2, 3),
+    inner=st.lists(_monomial, min_size=1, max_size=3),
+    extras=st.lists(st.tuples(st.sets(st.integers(0, 2), min_size=1),
+                              st.integers(1, 3)), max_size=3),
+    seed=st.integers(0, 2 ** 16),
+    uncertified=st.integers(0, 8),
+)
+def test_prune_matches_the_restart_scan_on_embedded_monomial_ideals(
+    var, power, inner, extras, seed, uncertified
+):
+    # I = x_var * J + <x_var^power>, shaped like <x^2, x*y> = <x> /\ <x^2, y>
+    ring = PolyRing(("x", "y", "z"), QQ)
+    x = ring.var(ring.names[var])
+    I = Ideal(ring, [x * ring.monomial(e) for e in inner] + [x ** power])
+    extra = [_restricted_primary(I, S, k) for S, k in extras]
+    comps = _with_redundant_components(I, seed, [c for c in extra if c])
+    got = _assert_same_prune(I, comps)
+    meet = got[0].primary
+    for c in got[1:]:
+        meet = intersect(meet, c.primary)
+    assert meet.equals(I)
+    # one uncertified component sends every component to the full test
+    if uncertified < len(comps):
+        comps[uncertified] = replace(comps[uncertified], certified=False)
+        _assert_same_prune(I, comps)
+
+
+def test_prune_tests_every_component_when_one_is_uncertified(rxy):
+    # <x^2, x*y> = <x> /\ <x^2, y> = <x> /\ <x^2, y - x>, and no two of
+    # these three components contain each other
+    I = _ideal(rxy, "x^2", "x*y")
+    a = PrimaryComponent(_ideal(rxy, "x"), _ideal(rxy, "x"), True)
+    b = PrimaryComponent(_ideal(rxy, "x^2", "y"), _ideal(rxy, "x", "y"), True)
+    c = PrimaryComponent(_ideal(rxy, "x^2", "y - x"), _ideal(rxy, "x", "y"), True)
+    assert [id(d) for d in _assert_same_prune(I, [a, b, c])] == [id(a), id(c)]
+    # b uncertified with a "prime" that contains no other prime: skipping
+    # its test would keep b and drop c
+    b = replace(b, certified=False, prime=_ideal(rxy, "x^2", "y"))
+    assert [id(d) for d in _assert_same_prune(I, [a, b, c])] == [id(a), id(c)]
 
 
 # -- primality ----------------------------------------------------------------
