@@ -21,7 +21,9 @@ The entry points are:
 ``zero_dim_decompose`` and ``is_maximal_zero_dim`` walk the same candidate
 primitive elements (the variables, then seeded linear forms) and split each
 candidate's minimal polynomial; the first stops at a split, the second at a
-refutation or a certified primitive element.
+refutation or a certified primitive element.  Between the two walks
+``zero_dim_decompose`` tries the variables-only certificate of the radical,
+so forms run only on an ideal not yet known to be primary.
 
 Decisions that depend on polynomial factorization go through the bounded
 certificate toolkit in factorize; whenever that toolkit cannot decide, the
@@ -39,7 +41,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .domains import QQ
@@ -60,7 +62,7 @@ from .ideals import (
 from .indepsets import best_independent_set
 from .orders import degrevlex_order
 from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
-from .rings import Polynomial, PolyRing, extend_ring, fresh_name, inject, project
+from .rings import Polynomial, adjoin, inject, project
 from .symmetry import SymmetryAction, UnionFind
 
 # verdict / status labels
@@ -177,26 +179,19 @@ def minimal_polynomial(
     return normalize_assoc(primitive_in(g, v))
 
 
-def _tag_ring(ring: PolyRing) -> Tuple[PolyRing, int]:
-    """The ring with one tag variable adjoined at the back."""
-    name = fresh_name(ring, "t")
-    big = extend_ring(ring, [name], front=False)
-    return big, big.nvars - 1
-
-
 def minimal_polynomial_of_form(
     I: Ideal, coeffs: Sequence[int], u: Iterable[int] = ()
-) -> Tuple[Polynomial, Polynomial, PolyRing, int]:
+) -> Tuple[Polynomial, Polynomial]:
     """Minimal polynomial over K(u) of the linear form sum(c_i x_i) modulo
     the localized ideal.
 
     ``coeffs`` has one integer per ring variable (zero on u).  Returns
-    (m, form, big, tag): m is a polynomial in the tag variable and u inside
-    the extended ring ``big``, and ``form`` is the linear form in I.ring.
+    (m, form): m is a polynomial in u and a tag variable, adjoined last to
+    I.ring (its index is I.ring.nvars), and ``form`` is the linear form in
+    I.ring.
     """
     ring = I.ring
     u = frozenset(u)
-    big, tag = _tag_ring(ring)
     form = ring.zero
     for i, c in enumerate(coeffs):
         if c and i in u:
@@ -205,11 +200,10 @@ def minimal_polynomial_of_form(
             form = form + ring.var(ring.names[i]).scale(c)
     if form.is_zero():
         raise IdealError("zero linear form")
-    gens = [inject(g, big, 0) for g in I.generators]
-    gens.append(big.var(big.names[tag]) - inject(form, big, 0))
-    J = Ideal(big, gens)
-    m = minimal_polynomial(J, tag, u)
-    return m, form, big, tag
+    big, tag = adjoin(ring, "t")
+    gens = [inject(g, big) for g in I.generators]
+    gens.append(big.var(big.names[tag]) - inject(form, big))
+    return minimal_polynomial(Ideal(big, gens), tag, u), form
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,22 @@ def _linear_form_coeffs(
     return coeffs
 
 
-def _primitive_candidates(
+def _variable_candidates(
+    I: Ideal, u: Tuple[int, ...], rest: Sequence[int], seed: int
+) -> Iterator[Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]]:
+    """The variables of ``rest`` as candidate primitive elements of the
+    localized ideal, lazily.
+
+    Yields (label, m, v, outcome, back): the candidate's name, its minimal
+    polynomial m in the variable of index v, the split of m, and the map of
+    a polynomial in m's ring back to I.ring.
+    """
+    for v in rest:
+        m = minimal_polynomial(I, v, u)
+        yield I.ring.names[v], m, v, split_minimal_polynomial(m, v, u, seed), _identity
+
+
+def _form_candidates(
     I: Ideal,
     u: Tuple[int, ...],
     rest: Sequence[int],
@@ -271,31 +280,52 @@ def _primitive_candidates(
     linear_budget: int,
     rng_seed: int,
 ) -> Iterator[Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]]:
-    """The candidate primitive elements of the localized ideal, lazily: each
-    variable of ``rest``, then ``linear_budget`` linear forms (the first
-    fixed, the others drawn from ``rng_seed``).
-
-    Yields (label, m, v, outcome, back): the candidate's name, its minimal
-    polynomial m in the variable of index v (the tag of an extended ring for
-    a form), the split of m, and the map of a polynomial in m's ring back to
-    I.ring.
-    """
-    for v in rest:
-        m = minimal_polynomial(I, v, u)
-        yield I.ring.names[v], m, v, split_minimal_polynomial(m, v, u, seed), _identity
+    """``linear_budget`` linear forms in ``rest`` as candidates, lazily, as
+    in _variable_candidates (the first fixed, the others drawn from
+    ``rng_seed``); v is the tag that minimal_polynomial_of_form adjoins."""
     rng = random.Random(rng_seed)
+    tag = I.ring.nvars
     for trial in range(linear_budget):
         coeffs = _linear_form_coeffs(rest, I.ring.nvars, trial, rng)
-        m, form, big, tag = minimal_polynomial_of_form(I, coeffs, u)
+        m, form = minimal_polynomial_of_form(I, coeffs, u)
 
-        def back(p: Polynomial, form=form, big=big, tag=tag) -> Polynomial:
-            return project(p.substitute(tag, inject(form, big, 0)), I.ring, 0)
+        def back(p: Polynomial, form=inject(form, m.ring)) -> Polynomial:
+            return project(p.substitute(tag, form), I.ring)
 
         yield str(form), m, tag, split_minimal_polynomial(m, tag, u, seed), back
 
 
 def _identity(p: Polynomial) -> Polynomial:
     return p
+
+
+def _first_split(
+    I: Ideal,
+    candidates: Iterable[
+        Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]
+    ],
+    D: int,
+    outcomes: List[FactorOutcome],
+) -> Optional[List[Ideal]]:
+    """Walk the candidates until one splits I, and return the branch ideals
+    of that split; [] when a candidate is a primitive element of a field
+    (no candidate can split), None when the candidates run out.  The
+    outcomes that do not split are appended to ``outcomes``."""
+    for _, m, v, outcome, back in candidates:
+        if _splits(outcome):
+            return _split_branches(I, outcome.parts, back)
+        outcomes.append(outcome)
+        part = outcome.parts[0]
+        if (part.irreducible is True and part.multiplicity == 1
+                and m.degree_in(v) == D):
+            return []
+    return None
+
+
+def _decompose_branches(
+    branches: Iterable[Ideal], u: Tuple[int, ...], seed: int, depth: int
+) -> List[PrimaryComponent]:
+    return [c for b in branches for c in zero_dim_decompose(b, u, seed, depth + 1)]
 
 
 def zero_dim_decompose(
@@ -308,10 +338,12 @@ def zero_dim_decompose(
 
     The returned components are plain-ideal representatives of the primary
     components of I K(u)[X-u]; callers working over K[X] must contract
-    them.  Splitting adjoins coprime parts of minimal polynomials, first of
-    the variables and then of seeded random linear forms; a leaf that
-    cannot be split is certified primary through its radical's maximality
-    certificate, or reported uncertified with the unresolved obligation.
+    them.  Splitting adjoins coprime parts of minimal polynomials: first of
+    the variables, which also give the radical R; then, unless the
+    variables of R certify it maximal (I is then primary, and no form can
+    split it), of seeded random linear forms.  A leaf that cannot be split
+    is certified primary through R's maximality certificate, or reported
+    uncertified with the unresolved obligation.
     """
     _require_rationals(I, "zero-dimensional decomposition")
     u = tuple(sorted(set(u)))
@@ -322,38 +354,34 @@ def zero_dim_decompose(
     if not I.generators or gb.is_trivial():
         return []
     D = gb.vector_space_dimension()  # raises NotZeroDimensional if infinite
-    u_names = tuple(I.ring.names[i] for i in u)
+    prov = Provenance(u_names=tuple(I.ring.names[i] for i in u), depth=_depth)
     if D == 1:
-        prov = Provenance(u_names=u_names, depth=_depth)
         return [
             PrimaryComponent(I, I, True, certificate="dimension-1", provenance=prov)
         ]
     # the splits of the variables' own minimal polynomials, for the radical
-    # at a leaf
     variable_outcomes: List[FactorOutcome] = []
-    obligations: List[str] = []
-    rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
-    for _, m, v, outcome, back in _primitive_candidates(
-        I, u, gb.rest_vars, seed, _SPLIT_FORMS, rng_seed
-    ):
-        if _splits(outcome):
-            comps: List[PrimaryComponent] = []
-            for branch in _split_branches(I, outcome.parts, back):
-                comps.extend(zero_dim_decompose(branch, u, seed, _depth + 1))
-            return comps
-        if m.ring == I.ring:
-            variable_outcomes.append(outcome)
-        part = outcome.parts[0]
-        if (part.irreducible is True and part.multiplicity == 1
-                and m.degree_in(v) == D):
-            # a primitive element of a field: no candidate can split
-            break
-        if part.irreducible is None:
-            obligations.append(outcome.obligation or f"factor {m}")
-    # leaf: no split found anywhere
+    branches = _first_split(
+        I, _variable_candidates(I, u, gb.rest_vars, seed), D, variable_outcomes
+    )
     R = _radical_zero_dim(I, variable_outcomes)
+    # R maximal makes I primary: then every form has one part and none splits
+    if branches is None and R is not I:
+        maximality = is_maximal_zero_dim(R, u, seed, 0)
+        if maximality.status == MAXIMAL:
+            return [
+                PrimaryComponent(
+                    I, R, True, certificate=maximality.certificate, provenance=prov
+                )
+            ]
+    if branches is None:
+        rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
+        forms = _form_candidates(I, u, gb.rest_vars, seed, _SPLIT_FORMS, rng_seed)
+        branches = _first_split(I, forms, D, [])
+    if branches:
+        return _decompose_branches(branches, u, seed, _depth)
+    # leaf: no split found anywhere
     maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
-    prov = Provenance(u_names=u_names, depth=_depth)
     if maximality.status == MAXIMAL:
         return [
             PrimaryComponent(
@@ -362,18 +390,16 @@ def zero_dim_decompose(
         ]
     if maximality.status == NOT_MAXIMAL and maximality.witness is not None:
         # a zero divisor surfaced late; split along it and keep going
-        comps = []
-        for branch in _saturation_split(I, maximality.witness):
-            comps.extend(zero_dim_decompose(branch, u, seed, _depth + 1))
+        branches = _saturation_split(I, maximality.witness)
+        comps = _decompose_branches(branches, u, seed, _depth)
         if comps:
             return comps
-    obligation = maximality.obligation or "; ".join(obligations[:3])
     return [
         PrimaryComponent(
             I,
             R,
             False,
-            obligation=obligation or "maximality of the radical is unproven",
+            obligation=maximality.obligation or "maximality of the radical is unproven",
             provenance=prov,
         )
     ]
@@ -418,8 +444,9 @@ def is_maximal_zero_dim(
     if D == 1:
         return MaximalityResult(MAXIMAL, certificate="dimension-1")
     obligations: List[str] = []
-    for label, m, v, outcome, back in _primitive_candidates(
-        I, u, gb.rest_vars, seed, linear_budget, (seed << 8) ^ 0xA11F
+    for label, m, v, outcome, back in chain(
+        _variable_candidates(I, u, gb.rest_vars, seed),
+        _form_candidates(I, u, gb.rest_vars, seed, linear_budget, (seed << 8) ^ 0xA11F),
     ):
         if _refutes_maximality(outcome):
             p = outcome.parts[0].poly

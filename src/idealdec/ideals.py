@@ -17,10 +17,11 @@ eliminate-a-tag-variable constructions:
   leading-monomial supports (Krull dimension of K[X]/I).
 
 Each construction has one fixed order; none takes an order as a parameter.
-intersect, quotient and saturate put their tag (t or w) in a lex block in
-front of degrevlex on the ring, so every saturation, from decomposition or
-from contraction, runs under that one order.  eliminate uses degrevlex
-inside both blocks, and the localized basis that yields the contraction's
+Every tag (t or w here, and the tag of a linear form in decompose) is
+adjoined last by rings.adjoin and removed by eliminate, the only code that
+builds an elimination order: the tag's block in front of degrevlex on the
+ring.  So every saturation, from decomposition or from contraction, runs
+under that one order.  The localized basis that yields the contraction's
 coefficients is lex.  Saturations are not cached: each call eliminates
 afresh.
 """
@@ -31,16 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger
-from .orders import (
-    DEGREVLEX,
-    LEX,
-    MonomialOrder,
-    block_order,
-    degrevlex_order,
-    lex_order,
-)
+from .orders import DEGREVLEX, MonomialOrder, block_order, degrevlex_order, lex_order
 from .polygcd import exact_divide, normalize_assoc
-from .rings import Polynomial, PolyRing, RingError, extend_ring, fresh_name, inject, project
+from .rings import Polynomial, PolyRing, RingError, adjoin, inject, project
 
 
 class IdealError(ValueError):
@@ -132,16 +126,14 @@ class SaturationResult:
 
 def _eliminate_tag(
     ring: PolyRing,
-    name: str,
+    stem: str,
     build: Callable[[PolyRing, Polynomial], List[Polynomial]],
 ) -> Ideal:
-    """Adjoin a tag variable in front of ``ring``, build generators with it,
-    and keep the basis elements free of the tag (an elimination order: the
-    tag in a lex block, degrevlex on the ring behind it)."""
-    big = extend_ring(ring, [fresh_name(ring, name)], front=True)
-    order = block_order([((0,), LEX), (tuple(range(1, big.nvars)), DEGREVLEX)])
-    G = buchberger(build(big, big.var(big.names[0])), order)
-    return Ideal(ring, [project(g, ring, 1) for g in G.elements if g.degree_in(0) == 0])
+    """Adjoin a tag variable after ``ring``'s, build generators with it, and
+    eliminate it."""
+    big, tag = adjoin(ring, stem)
+    J = eliminate(Ideal(big, build(big, big.var(big.names[tag]))), [tag])
+    return Ideal(ring, [project(g, ring) for g in J.generators])
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -157,8 +149,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, I.generators)
     return _eliminate_tag(
         ring, "t",
-        lambda big, t: [t * inject(g, big, 1) for g in I.generators]
-        + [(big.one - t) * inject(g, big, 1) for g in J.generators],
+        lambda big, t: [t * inject(g, big) for g in I.generators]
+        + [(big.one - t) * inject(g, big) for g in J.generators],
     )
 
 
@@ -179,11 +171,10 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
 def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
     """The saturation S = I : h^infinity and its exponent.
 
-    S comes from one elimination of w from I + <w*h - 1>, with w in a lex
-    block in front of degrevlex.  The exponent is the least m with
-    h^m * S inside I: the normal forms of S's generators against I's
-    degrevlex basis are multiplied by h and reduced again until all vanish.
-    With exponent 0 the result has I's generators.
+    S comes from one elimination of w from I + <w*h - 1>.  The exponent is
+    the least m with h^m * S inside I: the normal forms of S's generators
+    against I's degrevlex basis are multiplied by h and reduced again until
+    all vanish.  With exponent 0 the result has I's generators.
     """
     if h.ring != I.ring:
         raise RingError("polynomial from a different ring")
@@ -193,8 +184,8 @@ def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
     if not (h.is_constant() or I.is_zero()):
         S = _eliminate_tag(
             I.ring, "w",
-            lambda big, w: [inject(g, big, 1) for g in I.generators]
-            + [w * inject(h, big, 1) - big.one],
+            lambda big, w: [inject(g, big) for g in I.generators]
+            + [w * inject(h, big) - big.one],
         )
         G = I.groebner()
         remainders = list(S.generators)

@@ -307,16 +307,7 @@ class Polynomial:
         lead = max(self.terms, key=key)
         return self.terms[lead], lead
 
-    def sorted_terms(self, order=None):
-        """Terms as (exponents, coeff), descending; default is display lex."""
-        if order is None:
-            items = sorted(self.terms.items(), reverse=True)
-        else:
-            key = order.key
-            items = sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
-        return items
-
-    # -- substitution and transport ---------------------------------------
+    # -- substitution -----------------------------------------------------
 
     def specialize(self, assignment: Dict[int, object]) -> "Polynomial":
         """Substitute values for some variables (by index)."""
@@ -355,22 +346,6 @@ class Polynomial:
             if d in coeffs:
                 result = result + coeffs[d]
         return result
-
-    def map_to(self, target: PolyRing, var_map: Dict[int, int]) -> "Polynomial":
-        """Transport along a variable renaming (old index -> new index)."""
-        out: Dict[Exponents, object] = {}
-        for exps, c in self.terms.items():
-            new = [0] * target.nvars
-            for i, e in enumerate(exps):
-                if e:
-                    try:
-                        new[var_map[i]] = e
-                    except KeyError:
-                        raise RingError(
-                            f"variable {self.ring.names[i]} has no image"
-                        ) from None
-            out[tuple(new)] = target.domain.coerce(c)
-        return Polynomial(target, out)
 
     def permute_vars(self, image: Sequence[int]) -> "Polynomial":
         """Apply the variable substitution x_i -> x_image[i] in the same ring."""
@@ -432,7 +407,7 @@ def format_poly(f: Polynomial) -> str:
     ring = f.ring
     dom = ring.domain
     pieces = []
-    for exps, coeff in f.sorted_terms():
+    for exps, coeff in sorted(f.terms.items(), reverse=True):
         neg, mag = dom.split_sign(coeff)
         factors = []
         for i, e in enumerate(exps):
@@ -623,34 +598,25 @@ def format_ring_header(ring: PolyRing) -> str:
     return f"ring {dom}[{','.join(chunks)}]"
 
 
-def extend_ring(ring: PolyRing, new_names: Sequence[str], front: bool = True) -> PolyRing:
-    """Adjoin fresh variables (at the front by default)."""
-    for n in new_names:
-        if n in ring._index:
-            raise RingError(f"variable {n!r} already present")
-    if front:
-        return PolyRing(tuple(new_names) + ring.names, ring.domain)
-    return PolyRing(ring.names + tuple(new_names), ring.domain)
+def adjoin(ring: PolyRing, stem: str) -> Tuple[PolyRing, int]:
+    """The ring with one helper variable appended, and the helper's index.
+    The helper is named ``stem``, or ``stem0``, ``stem1``, ... when that name
+    is taken."""
+    name, k = stem, 0
+    while name in ring._index:
+        name, k = f"{stem}{k}", k + 1
+    return PolyRing(ring.names + (name,), ring.domain), ring.nvars
 
 
-def fresh_name(ring: PolyRing, stem: str) -> str:
-    """A variable name based on ``stem`` that is not already in the ring."""
-    if stem not in ring._index:
-        return stem
-    k = 0
-    while f"{stem}{k}" in ring._index:
-        k += 1
-    return f"{stem}{k}"
+def inject(f: Polynomial, big: PolyRing) -> Polynomial:
+    """f in a ring made by appending variables to f's ring."""
+    pad = (0,) * (big.nvars - f.ring.nvars)
+    return Polynomial(big, {e + pad: c for e, c in f.terms.items()})
 
 
-def inject(f: Polynomial, target: PolyRing, offset: int) -> Polynomial:
-    """Transport f into a larger ring whose variables i+offset match ring's i."""
-    return f.map_to(target, {i: i + offset for i in range(f.ring.nvars)})
-
-
-def project(f: Polynomial, target: PolyRing, offset: int) -> Polynomial:
-    """Inverse of inject: drop the first ``offset`` variables (must be unused)."""
-    for exps in f.terms:
-        if any(exps[:offset]):
-            raise RingError("polynomial involves helper variables")
-    return f.map_to(target, {i + offset: i for i in range(target.nvars)})
+def project(f: Polynomial, ring: PolyRing) -> Polynomial:
+    """Inverse of inject: drop the appended variables, which must not occur."""
+    n = ring.nvars
+    if any(any(e[n:]) for e in f.terms):
+        raise RingError("polynomial involves helper variables")
+    return Polynomial(ring, {e[:n]: c for e, c in f.terms.items()})

@@ -228,6 +228,54 @@ def test_decompose_report(capsys, gens_file):
     ]
 
 
+# with u = {z} no variable splits these; the fifth linear form, 3*x - 3*y, does
+GALOIS_SPLITS = {
+    "radical": (
+        ["x^2 - 2*z^2", "y^2 - 2*z^2"],
+        ["component 1 certified=yes certificate=primitive-element:x;quadratic-discriminant",
+         "component 1 u z",
+         "component 1 saturation z^2 exp=1",
+         "component 1 primary x + y",
+         "component 1 primary y^2 - 2*z^2",
+         "component 1 prime x + y",
+         "component 1 prime y^2 - 2*z^2",
+         "component 2 certified=yes certificate=primitive-element:x;quadratic-discriminant",
+         "component 2 u z",
+         "component 2 primary x - y",
+         "component 2 primary y^2 - 2*z^2",
+         "component 2 prime x - y",
+         "component 2 prime y^2 - 2*z^2"],
+    ),
+    "non-radical": (
+        ["x^4 - 4*x^2*z^2 + 4*z^4", "y^2 - 2*z^2"],
+        ["component 1 certified=yes certificate=primitive-element:x;quadratic-discriminant",
+         "component 1 u z",
+         "component 1 saturation z^4 exp=1",
+         "component 1 primary y^2 - 2*z^2",
+         "component 1 primary x^2 + 2*x*y + 2*z^2",
+         "component 1 prime x + y",
+         "component 1 prime y^2 - 2*z^2",
+         "component 2 certified=yes certificate=primitive-element:x;quadratic-discriminant",
+         "component 2 u z",
+         "component 2 primary y^2 - 2*z^2",
+         "component 2 primary x^2 - 2*x*y + 2*z^2",
+         "component 2 prime x - y",
+         "component 2 prime y^2 - 2*z^2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GALOIS_SPLITS))
+def test_decompose_splits_along_a_linear_form(capsys, gens_file, case):
+    gens, components = GALOIS_SPLITS[case]
+    path = gens_file("ring Q[x,y,z]\n" + "".join(g + "\n" for g in gens))
+    code, out, err = run(capsys, "decompose", path)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[lines.index("ring Q[x,y,z]"):] == [
+        "ring Q[x,y,z]", "components 2", "complete yes"] + components
+
+
 def test_decompose_zero_ideal(capsys, gens_file):
     path = gens_file("ring Q[x,y]\n")
     code, out, err = run(capsys, "decompose", path)

@@ -138,6 +138,42 @@ def test_zero_dim_stops_at_a_primitive_element(rxyz):
     assert elapsed < 2.0
 
 
+def test_zero_dim_certifies_the_radical_before_trying_forms(rxyz):
+    # every variable's minimal polynomial is a cube, x's is (x^4 + 2)^3, so
+    # none is a primitive element of I; x is one of the radical's, so I is
+    # primary and no linear form can split it, while each form tried costs
+    # an elimination (minutes in all on this ideal)
+    import time
+
+    I = _ideal(rxyz, "-8*x^6 + 24*x^4*z - 24*x^2*z^2 + 8*z^3",
+               "-3*x^2*y + x^2*z - 1", "2*x^2*y - y*z + 1")
+    start = time.perf_counter()
+    result = gtz_decompose(I)
+    elapsed = time.perf_counter() - start
+    assert result.complete
+    [comp] = result.components
+    assert comp.certificate == "primitive-element:x;rational-irreducible"
+    assert comp.primary.equals(I)
+    assert comp.prime.equals(_ideal(rxyz, "y - 1/2*z", "z^2 + 2", "x^2 - z"))
+    assert elapsed < 5.0
+
+
+def test_primary_ideal_tries_no_linear_form(rxy, monkeypatch):
+    # <x^2, y^2> is primary to <x, y>, certified by the radical's variables
+    calls = []
+    of_form = decompose.minimal_polynomial_of_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return of_form(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "minimal_polynomial_of_form", counted)
+    result = gtz_decompose(_ideal(rxy, "x^2", "y^2"))
+    [comp] = result.components
+    assert comp.certified and comp.prime.equals(_ideal(rxy, "x", "y"))
+    assert calls == []
+
+
 def test_is_maximal_zero_dim_verdicts(rxy):
     good = _ideal(rxy, "x^2 + 1", "y - x")
     res = is_maximal_zero_dim(good)

@@ -16,10 +16,9 @@ from idealdec.rings import (
     ParseError,
     PolyRing,
     RingError,
-    extend_ring,
+    adjoin,
     format_poly,
     format_ring_header,
-    fresh_name,
     inject,
     parse_ring_header,
     project,
@@ -192,30 +191,35 @@ def test_mixed_ring_arithmetic_rejected():
         a.var("x") + b.var("x")
 
 
-def test_extend_ring_inject_project(rxy):
-    big = extend_ring(rxy, ["t"], front=False)
-    assert big.names == ("x", "y", "t")
-    front = extend_ring(rxy, ["w"], front=True)
-    assert front.names == ("w", "x", "y")
+def test_adjoin_inject_project(rxy):
+    big, tag = adjoin(rxy, "t")
+    assert big.names == ("x", "y", "t") and tag == 2
+    assert big.domain == rxy.domain
     f = rxy.parse("x*y - 2")
-    lifted = inject(f, big, 0)
+    lifted = inject(f, big)
+    assert lifted.ring == big
     assert format_poly(lifted) == "x*y - 2"
-    assert project(lifted, rxy, 0) == f
-    shifted = inject(f, front, 1)
-    assert shifted.degree_in(0) == 0
-    assert project(shifted, rxy, 1) == f
+    assert lifted.degree_in(tag) == 0
+    assert project(lifted, rxy) == f
+    g = big.parse("t*x - y")
+    assert project(g.substitute(tag, inject(f, big)), rxy) == rxy.parse("x^2*y - 2*x - y")
+
+
+def test_adjoin_picks_a_fresh_name():
+    ring = PolyRing(("x", "t", "t0"), QQ)
+    assert adjoin(ring, "w")[0].names == ("x", "t", "t0", "w")
+    big, tag = adjoin(ring, "t")
+    assert big.names == ("x", "t", "t0", "t1") and tag == 3
+    bigger, _ = adjoin(big, "t")
+    assert bigger.names[-1] == "t2"
 
 
 def test_project_rejects_polynomials_using_dropped_vars(rxy):
-    big = extend_ring(rxy, ["t"], front=False)
-    t = big.var("t")
-    with pytest.raises(RingError):
-        project(t, rxy, 0)
-
-
-def test_fresh_name_avoids_collisions(rxy):
-    assert fresh_name(rxy, "t") == "t"
-    assert fresh_name(rxy, "x") != "x"
+    big, _ = adjoin(rxy, "t")
+    with pytest.raises(RingError, match="helper"):
+        project(big.var("t"), rxy)
+    with pytest.raises(RingError, match="helper"):
+        project(big.parse("x + t^2*y"), rxy)
 
 
 def test_ring_header_round_trip():
