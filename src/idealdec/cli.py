@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import signal
 import sys
@@ -400,8 +401,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--budget must be a positive integer")
     if getattr(args, "limit", None) is not None and args.limit <= 0:
         parser.error("--limit must be a positive integer")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        parser.error("--timeout must be a positive, finite number of seconds")
 
     sink: List[str] = []
     old_handler = None
@@ -410,8 +411,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not hasattr(signal, "setitimer"):
             raise SystemExit(EXIT_ERROR)
         old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
-        signal.setitimer(signal.ITIMER_REAL, args.timeout)
     try:
+        if timing:
+            # armed inside the try: a timer that expires at once still ends
+            # in exit 3, and the handler is restored below
+            try:
+                signal.setitimer(signal.ITIMER_REAL, args.timeout)
+            except (OverflowError, ValueError):
+                raise CliError(
+                    f"--timeout {args.timeout:g} is beyond the system timer's range"
+                ) from None
         code = _DISPATCH[args.command](args, sink)
     except _TimeoutExpired:
         sink.append(f"timeout after {args.timeout:g}s")

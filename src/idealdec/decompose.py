@@ -58,6 +58,7 @@ from .ideals import (
     intersect,
     saturate,
     saturation_coefficients,
+    saturation_exponent,
 )
 from .indepsets import best_independent_set
 from .orders import degrevlex_order
@@ -574,7 +575,14 @@ def gtz_decompose(
     dimensional J_k is localized at its best-ranked maximal independent set
     u, the zero-dimensional extension is decomposed and contracted back, and
     h is the least common multiple of the localized leading coefficients, m
-    its saturation exponent, so J_k = (J_k : h^inf) /\\ J_{k+1}.  A
+    its saturation exponent, so J_k = (J_k : h^inf) /\\ J_{k+1}.  The
+    contracted components of a level meet to J_k K(u)[X] /\\ K[X], which is
+    J_k : h^inf (Greuel-Pfister, *A Singular Introduction to Commutative
+    Algebra*, Prop. 4.3.1): zero_dim_decompose splits only along coprime
+    parts of minimal polynomials and along I = (I : g^inf) /\\ (I + <g^e>),
+    so its components meet to J_k K(u).  So m is read against that meet,
+    the least m with h^m (J_k : h^inf) inside J_k, with no saturation; a
+    level with no component saturates J_k by h instead.  A
     zero-dimensional or unit remainder ends the loop, and so does the first
     level after which the components found meet to I (the early exit of the
     GTZ variants in Decker-Greuel-Pfister 1999); more than ``_MAX_DEPTH``
@@ -628,15 +636,21 @@ def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
         found = [_contract_component(c, u, depth)
                  for c in zero_dim_decompose(J, u, seed)]
         out.extend(found)
+        # the level's components meet to J K(u)[X] /\ K[X] = J : h^inf
+        level: Optional[Ideal] = None
         for c in found:
-            meet = _meet(meet, c.primary)
+            level = _meet(level, c.primary)
+        meet = _meet(meet, level)
         if meet is not None and I.contains_ideal(meet):
             return out
         handles = saturation_coefficients(J, u)
         h = normalize_assoc(poly_lcm_many(handles)) if handles else J.ring.one
         if h.is_constant():
             return out
-        m = saturate(J, h).exponent
+        if level is None:
+            m = saturate(J, h).exponent
+        else:
+            m = saturation_exponent(J, h, level)
         if m == 0:
             return out
         J = ideal_sum(J, [h ** m])

@@ -15,9 +15,11 @@ Buchberger's algorithm*, JSC 1988; the UPDATE of Becker and Weispfenning,
 pairs that h covers are dropped (criterion B), the new pairs with h are
 kept only if no smaller new lcm divides theirs (criteria M and F) and are
 then dropped when coprime, and elements whose leading monomial LM(h)
-divides form no further pairs, though they still reduce.  Reduced bases
-over a field are unique for a fixed order, which the test-suite exploits
-heavily.
+divides form no further pairs, though they still reduce.  When every
+input is a monomial, every S-polynomial is zero and there is no tail to
+reduce, so no pair is formed: the minimal generators, made monic, are the
+reduced basis.  Reduced bases over a field are unique for a fixed order,
+which the test-suite exploits heavily.
 
 Inside the kernel a monomial is one packed int, ``C = K << n*W | M``, in
 fields of W bits whose top bit is a guard (Monagan and Pearce, *Sparse
@@ -52,18 +54,23 @@ fields.  Each basis element is held as an integer entry (packed leading
 monomial, a, tail): over Q the element's primitive integer multiple with
 leading coefficient a > 0, over GF(p) the monic element as residues, a = 1.
 S-polynomials, reduction, interreduction, ``normal_form`` and
-``is_groebner_basis`` all read entries; the finished basis is built from
-its entries, and its elements are the only field (``Fraction`` or
-``ModInt``) polynomials the module makes.  ``_reduce`` pops terms greatest
-first from a heap of negated packed monomials, each monomial pushed once,
-when it enters the work dict.  A popped term c x^e with a reducer (lead, a,
-tail), lead | e, is cancelled by scaling the work dict by a / gcd(a, c) and
-subtracting (c / gcd(a, c)) x^(e - lead) tail, the fraction-free reduction
-of Singular (Greuel and Pfister, *A Singular Introduction to Commutative
-Algebra*); over GF(p) c is taken mod p when it is popped, so residues grow
-unreduced until then.  The product of the scale factors is returned with
-the remainder, so normal forms stay exact.  The first divisor in basis
-order is the one used.
+``is_groebner_basis`` all read entries.  The finished basis keeps its
+entries and builds an element's field (``Fraction`` or ``ModInt``)
+polynomial only when it is read: ``element(k)`` builds one, ``elements``
+all of them on first access.  Many bases are read only for their leading
+monomials or normal forms, and ``eliminate`` reads only the elements it
+keeps.
+
+``_reduce`` pops terms greatest first from a heap of negated packed
+monomials, each monomial pushed once, when it enters the work dict.  A
+popped term c x^e with a reducer (lead, a, tail), lead | e, is cancelled
+by scaling the work dict by a / gcd(a, c) and subtracting (c / gcd(a, c))
+x^(e - lead) tail, the fraction-free reduction of Singular (Greuel and
+Pfister, *A Singular Introduction to Commutative Algebra*); over GF(p) c
+is taken mod p when it is popped, so residues grow unreduced until then.
+The product of the scale factors is returned with the remainder, so
+normal forms stay exact.  The first divisor in basis order is the one
+used.
 
 Normal forms exist for plain bases only; a localized basis raises
 ``GroebnerError`` for them.
@@ -349,22 +356,23 @@ class GroebnerBasis:
     ``order`` is the order requested by the caller; ``computation_order``
     is the actual full-ring order used (a block order when localized).
     The basis is built from its entries under the computation order and
-    the packing they were made with, as ``buchberger`` holds them:
-    ``elements`` are the monic polynomials they make, sorted by ascending
-    leading monomial, and the leading exponents are unpacked once, here.
-    Only a plain basis has normal forms, reduced against the entries; a
-    localized one serves its leading data.
+    the packing they were made with, as ``buchberger`` holds them, sorted
+    by ascending leading monomial.  The leading exponents are unpacked
+    once, here; ``element(k)`` builds the k-th monic polynomial, and
+    ``elements``, all of them, is built on first access.  Only a plain
+    basis has normal forms, reduced against the entries; a localized one
+    serves its leading data.
     """
 
     __slots__ = (
         "ring",
         "order",
         "computation_order",
-        "elements",
         "localized_vars",
         "_entries",
         "_packing",
         "_leads",
+        "_elements",
     )
 
     def __init__(
@@ -376,19 +384,30 @@ class GroebnerBasis:
         localized_vars: Optional[frozenset] = None,
         packing: Optional[_Packing] = None,
     ):
-        one = ring.domain.one
-        p = ring.domain.characteristic
         self.ring = ring
         self.order = order
         self.computation_order = computation_order
         self._leads = [packing.unpack(entry[0]) for entry in entries]
-        self.elements = tuple(
-            Polynomial(ring, {lead: one, **_field_terms(tail, a, p, packing)})
-            for lead, (_, a, tail) in zip(self._leads, entries)
-        )
         self.localized_vars = localized_vars
         self._entries = entries
         self._packing = packing
+        self._elements: Optional[Tuple[Polynomial, ...]] = None
+
+    @property
+    def elements(self) -> Tuple[Polynomial, ...]:
+        """The monic basis polynomials, by ascending leading monomial."""
+        if self._elements is None:
+            self._elements = tuple(map(self.element, range(len(self._entries))))
+        return self._elements
+
+    def element(self, k: int) -> Polynomial:
+        """The k-th monic basis polynomial."""
+        if self._elements is not None:
+            return self._elements[k]
+        _, a, tail = self._entries[k]
+        ring = self.ring
+        terms = _field_terms(tail, a, ring.domain.characteristic, self._packing)
+        return Polynomial(ring, {self._leads[k]: ring.domain.one, **terms})
 
     # -- structural views ---------------------------------------------------
 
@@ -415,7 +434,7 @@ class GroebnerBasis:
         For a plain basis these are all 1 (elements are monic).
         """
         if self.localized_vars is None:
-            return tuple(self.ring.one for _ in self.elements)
+            return (self.ring.one,) * len(self)
         rest = self.rest_vars
         out = []
         for g, lm in zip(self.elements, self.lead_exps()):
@@ -477,7 +496,7 @@ class GroebnerBasis:
         return _staircase_count(projs, nrel)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._entries)
 
     def __iter__(self):
         return iter(self.elements)
@@ -541,15 +560,29 @@ def _interreduce(entries: List[Entry], packing: _Packing, p: int) -> None:
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
 
 
+def _minimal(entries: Sequence[Entry], guards: int) -> List[Entry]:
+    """The entries whose leading monomial no other entry's divides, by
+    ascending leading monomial; of equal leading monomials the first."""
+    kept: List[Entry] = []
+    for entry in sorted(entries, key=itemgetter(0)):
+        if all((entry[0] - k[0]) & guards for k in kept):
+            kept.append(entry)
+    return kept
+
+
 def _reduced_entries(
     gens: Sequence[Polynomial], packing: _Packing, p: int
 ) -> List[Entry]:
     """The entries of the reduced basis of the nonzero ``gens`` under the
     packing's order."""
     guards, field, lcm_of = packing.guards, packing.field, packing.lcm
+    inputs = sorted((_poly_entry(g, packing) for g in gens), key=itemgetter(0))
+    if not any(tail for _, _, tail in inputs):
+        # monomial inputs: every S-polynomial is zero and there are no tails
+        # to reduce, so the minimal generators are the reduced basis
+        return _minimal(inputs, guards)
     entries: List[Entry] = []
-    # the packed leading monomials of the entries and their M parts
-    lead: List[int] = []
+    # the M parts of the entries' leading monomials
     lead_m: List[int] = []
     # elements whose leading monomial no later leading monomial divides;
     # only these form new pairs
@@ -565,7 +598,6 @@ def _reduced_entries(
         degree = lm & field
         j = len(entries)
         entries.append(entry)
-        lead.append(entry[0])
         lead_m.append(lm)
         # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
         # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
@@ -596,8 +628,7 @@ def _reduced_entries(
         live[:] = [i for i in live if (lead_m[i] - lm) & guards]
         live.append(j)
 
-    for entry in sorted((_poly_entry(g, packing) for g in gens),
-                        key=itemgetter(0)):
+    for entry in inputs:
         add_poly(entry)
 
     while heap:
@@ -609,12 +640,7 @@ def _reduced_entries(
             # the remainder is built greatest term first
             add_poly(_make_entry(r, next(iter(r)), p))
 
-    # minimalise: drop elements whose lead is divisible by another lead
-    kept_idx: List[int] = []
-    for i in sorted(range(len(entries)), key=lead.__getitem__):
-        if all((lead[i] - lead[k]) & guards for k in kept_idx):
-            kept_idx.append(i)
-    reduced = [entries[i] for i in kept_idx]
+    reduced = _minimal(entries, guards)
     _interreduce(reduced, packing, p)
     return reduced
 

@@ -7,8 +7,11 @@ eliminate-a-tag-variable constructions:
 * intersect(I, J):  eliminate t from t*I + (1-t)*J;
 * quotient(I, f):   generators of (I meet <f>) divided exactly by f;
 * saturate(I, h):   eliminate w from I + <w*h - 1> (Rabinowitsch), then the
-  exponent: the least m with h^m (I : h^infinity) inside I, by normal forms;
-* eliminate(I, V):  block order with V in front;
+  exponent: the least m with h^m (I : h^infinity) inside I, by normal forms
+  (saturation_exponent, which also serves a caller that already holds
+  I : h^infinity, such as a level of GTZ, with no elimination);
+* eliminate(I, V):  block order with V in front; only the basis elements
+  whose leading monomial is free of V are built as polynomials;
 * contract(I, u):   chained saturations of I by the K[u]-leading
   coefficients of a minimal localized basis (saturation_coefficients),
   smallest first -- this turns the extension ideal I K(u)[X-u] back into
@@ -168,13 +171,31 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(I.ring, [exact_divide(w, f) for w in W.generators])
 
 
+def saturation_exponent(I: Ideal, h: Polynomial, S: Ideal) -> int:
+    """The least m with h^m * S inside I.
+
+    S must lie in I : h^infinity, or no m exists and the search does not
+    end; for S = I : h^infinity, m is the saturation exponent.  The normal
+    forms of S's generators against I's degrevlex basis are multiplied by h
+    and reduced again until all vanish.
+    """
+    G = I.groebner()
+    remainders = list(S.generators)
+    exponent = 0
+    while True:
+        remainders = [r for r in map(G.normal_form, remainders) if not r.is_zero()]
+        if not remainders:
+            return exponent
+        remainders = [h * r for r in remainders]
+        exponent += 1
+
+
 def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
     """The saturation S = I : h^infinity and its exponent.
 
-    S comes from one elimination of w from I + <w*h - 1>.  The exponent is
-    the least m with h^m * S inside I: the normal forms of S's generators
-    against I's degrevlex basis are multiplied by h and reduced again until
-    all vanish.  With exponent 0 the result has I's generators.
+    S comes from one elimination of w from I + <w*h - 1>, and the exponent
+    from saturation_exponent(I, h, S).  With exponent 0 the result has I's
+    generators.
     """
     if h.ring != I.ring:
         raise RingError("polynomial from a different ring")
@@ -187,14 +208,7 @@ def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
             lambda big, w: [inject(g, big) for g in I.generators]
             + [w * inject(h, big) - big.one],
         )
-        G = I.groebner()
-        remainders = list(S.generators)
-        while True:
-            remainders = [r for r in map(G.normal_form, remainders) if not r.is_zero()]
-            if not remainders:
-                break
-            remainders = [h * r for r in remainders]
-            exponent += 1
+        exponent = saturation_exponent(I, h, S)
     # exponent 0: I is saturated; keep its generators but not its cached bases
     return SaturationResult(S if exponent else Ideal(I.ring, I.generators), exponent)
 
@@ -214,8 +228,10 @@ def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
     rest = tuple(i for i in range(ring.nvars) if i not in set(elim))
     blocks = [(elim, DEGREVLEX)] + ([(rest, DEGREVLEX)] if rest else [])
     G = buchberger(I.generators, block_order(blocks))
-    elim_set = set(elim)
-    picked = [g for g in G.elements if not (g.support() & elim_set)]
+    # in an elimination order an element whose leading monomial is free of
+    # the eliminated variables is free of them, so only those are built
+    picked = [G.element(k) for k, e in enumerate(G.lead_exps())
+              if not any(e[i] for i in elim)]
     return Ideal(ring, picked)
 
 

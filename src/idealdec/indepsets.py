@@ -137,7 +137,7 @@ def maximal_independent_sets(
     supports; ties in size are broken by the sorted index tuple, so the
     output order is deterministic.
     """
-    if G.elements and G.is_trivial():
+    if G.is_trivial():
         return []
     everything = frozenset(range(G.ring.nvars))
     hitters = minimal_hitting_sets(minimal_supports(G.lead_exps()))

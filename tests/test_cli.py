@@ -544,6 +544,32 @@ def test_timeout_gives_partial_log_and_code_three(capsys, tmp_path):
     assert "timeout after 0.005s" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e12"])
+def test_timeout_out_of_range_is_a_clean_error(capsys, gens_file, value):
+    """A timeout the system timer cannot hold exits 1 with a message, not a
+    traceback, and leaves no SIGALRM handler or timer behind."""
+    handler = signal.getsignal(signal.SIGALRM)
+    code, out, err = run(capsys, "decompose", gens_file(XYXZ), "--timeout", value)
+    assert code == EXIT_ERROR
+    assert err.startswith("idealdec") and "--timeout" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_timeout_expiring_at_once_exits_three(capsys, gens_file):
+    """A timer armed for a nanosecond expires before the command starts; the
+    run still ends in exit 3 with its timeout line, and the previous SIGALRM
+    handler is restored."""
+    handler = signal.getsignal(signal.SIGALRM)
+    code, out, _ = run(capsys, "decompose", gens_file(XYXZ), "--timeout", "1e-9")
+    assert code == EXIT_TIMEOUT
+    assert out.splitlines()[-1] == "timeout after 1e-09s"
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def test_repeated_main_calls_leak_no_option(capsys, gens_file, monkeypatch):
     """main reuses one parser per process: a run with --budget, --seed or
     --timeout leaves nothing behind for the next run, whose report equals

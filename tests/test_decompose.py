@@ -1,6 +1,7 @@
 """Primary decomposition, maximality certification, primality verdicts."""
 
 import random
+import time
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -30,7 +31,15 @@ from idealdec.decompose import (
 )
 from idealdec.domains import QQ, PrimeField
 from idealdec.groebner import NotZeroDimensional, buchberger
-from idealdec.ideals import Ideal, IdealError, ideal_sum, intersect, quotient, saturate
+from idealdec.ideals import (
+    Ideal,
+    IdealError,
+    ideal_sum,
+    intersect,
+    quotient,
+    saturate,
+    saturation_exponent,
+)
 from idealdec.rings import PolyRing
 from idealdec.symmetry import SymmetryAction
 
@@ -504,6 +513,83 @@ def test_prune_tests_every_component_when_one_is_uncertified(rxy):
     # its test would keep b and drop c
     b = replace(b, certified=False, prime=_ideal(rxy, "x^2", "y"))
     assert [id(d) for d in _assert_same_prune(I, [a, b, c])] == [id(a), id(c)]
+
+
+# -- the saturation exponent of a GTZ level ------------------------------------
+
+
+def _checking_level_exponent(monkeypatch):
+    """Make every level of _gtz check the exponent it reads from the meet of
+    its contracted components against saturate(J, h); returns the list of
+    exponents checked, one per level."""
+    checked = []
+
+    def checking(J, h, level):
+        m = saturation_exponent(J, h, level)
+        sat = saturate(J, h)
+        assert m == sat.exponent
+        assert level.equals(sat.ideal)
+        checked.append(m)
+        return m
+
+    monkeypatch.setattr(decompose, "saturation_exponent", checking)
+    return checked
+
+
+@pytest.mark.parametrize("k", range(len(DECOMPOSITION_CORPUS)))
+def test_level_exponent_matches_saturate_on_the_corpus(k, monkeypatch):
+    _checking_level_exponent(monkeypatch)
+    names, gens, _ = DECOMPOSITION_CORPUS[k]
+    I = _ideal(PolyRing(names, QQ), *gens)
+    assert _reassemble(I.ring, gtz_decompose(I)).equals(I)
+
+
+@pytest.mark.parametrize("I", [
+    _cycle_edge_ideal(5),
+    _cycle_edge_ideal(6),
+    _path_edge_ideal(3),
+    _path_edge_ideal(4),
+    _path_edge_ideal(5),
+], ids=["C5", "C6", "P3", "P4", "P5"])
+def test_level_exponent_matches_saturate_on_edge_ideals(I, monkeypatch):
+    checked = _checking_level_exponent(monkeypatch)
+    result = gtz_decompose(I)
+    assert result.complete
+    assert checked
+    assert _reassemble(I.ring, result).equals(I)
+
+
+_small_term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                        st.sampled_from([-2, -1, 1, 2, 3]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(gens=st.lists(st.lists(_small_term, min_size=1, max_size=3),
+                     min_size=1, max_size=2))
+def test_level_exponent_matches_saturate_on_small_ideals(gens):
+    ring = PolyRing(("x", "y", "z"), QQ)
+    polys = [sum((ring.monomial(e).scale(c) for e, c in terms), ring.zero)
+             for terms in gens]
+    I = Ideal(ring, polys)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _checking_level_exponent(monkeypatch)
+        result = gtz_decompose(I)
+    if result.components:
+        assert _reassemble(ring, result).equals(I)
+
+
+def test_gtz_reads_the_exponent_without_saturating_the_remainder():
+    # saturating this remainder by h = y^6*(2*y^2 - 1)^3 took over 30 s; the
+    # components found meet to J : h^inf, which gives the exponent at once
+    ring = PolyRing(("x", "y", "z"), QQ)
+    I = _ideal(ring, "-x^2*y*z^2 - 3*x^2*y*z + 2*y",
+               "-x^6*z^3 + 6*x^5*y*z^2 - 12*x^4*y^2*z + 8*x^3*y^3")
+    start = time.perf_counter()
+    result = gtz_decompose(I)
+    assert time.perf_counter() - start < 5
+    assert result.complete
+    assert result.components and all(c.certified for c in result.components)
+    assert _reassemble(ring, result).equals(I)
 
 
 # -- primality ----------------------------------------------------------------

@@ -44,6 +44,7 @@ from idealdec.groebner import (
     buchberger,
     is_groebner_basis,
 )
+from idealdec.ideals import Ideal, eliminate
 from idealdec.orders import block_order, degrevlex_order, lex_order
 from idealdec.rings import PolyRing
 
@@ -360,3 +361,96 @@ def test_width_restart_matches_sympy_and_a_wide_run(monkeypatch, modulus):
     assert sorted(map(str, G.elements)) == sorted(
         str(ring.parse(str(e.as_expr()).replace("**", "^"))) for e in ref.exprs)
     assert "y^4001" in str(G.elements[0]) + str(G.elements[-1])
+
+
+# monomial generators: the reduced basis is the minimal generators, made
+# monic, under every order and over every field, and no S-polynomial is
+# formed.  Each case holds a duplicate of its first monomial and a multiple
+# of it, with coefficients other than 1.
+_MONOMIALS = [(a, b, c) for a in range(4) for b in range(4 - a)
+              for c in range(4 - a - b)]
+_monomial_case = st.tuples(
+    st.lists(st.tuples(st.sampled_from(_MONOMIALS), st.integers(-5, 5).filter(bool)),
+             min_size=1, max_size=5),
+    st.integers(-5, 5).filter(bool),
+    st.tuples(*[st.integers(0, 1)] * 3),
+)
+_monomial_order = st.one_of(
+    st.sampled_from(sorted(ORDERS)).map(lambda name: (name, None)),
+    st.sets(st.integers(0, 2), min_size=1, max_size=2).map(
+        lambda u: ("grevlex", frozenset(u))),
+    _blocks.map(lambda b: (b, None)),
+)
+
+
+def _minimal_monomials(exps):
+    exps = set(exps)
+    return {e for e in exps
+            if not any(d != e and _divides(d, e) for d in exps)}
+
+
+@_settings
+@given(case=_monomial_case, how=_monomial_order,
+       modulus=st.sampled_from([None, 32003]))
+def test_monomial_generators_give_the_minimal_generators(case, how, modulus):
+    terms, c, bump = case
+    first, _ = terms[0]
+    multiple = tuple(map(add, first, bump))
+    terms = terms + [(first, c), (multiple, c + 7)]
+    ring = _ring(modulus)
+    polys = [ring.poly({e: k}) for e, k in terms]
+    spec, loc = how
+    if isinstance(spec, tuple):
+        perm, cut, front_kind, back_kind = spec
+        order = block_order([(tuple(sorted(perm[:cut])), front_kind),
+                             (tuple(sorted(perm[cut:])), back_kind)])
+    else:
+        order = ORDERS[spec]
+
+    def no_spolynomial(*args):
+        raise AssertionError("an S-polynomial of monomials was formed")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "spolynomial", no_spolynomial)
+        G = buchberger(polys, order, localized_vars=loc)
+    minimal = {str(ring.monomial(e)) for e in _minimal_monomials(e for e, _ in terms)}
+    got = [str(g) for g in G.elements]
+    if loc is None:
+        assert sorted(got) == sorted(minimal)
+        assert is_groebner_basis(G.elements, order)
+        if isinstance(spec, str):
+            ref = sympy.groebner([_to_sympy({e: k}) for e, k in terms], X, Y, Z,
+                                 **_sympy_options(spec, modulus))
+            theirs = [_monic(_from_sympy(ring, e), order) for e in ref.exprs]
+            assert sorted(got) == sorted(map(str, theirs))
+        return
+    # localized: drawn from the minimal generators, with restricted leading
+    # monomials that divide one another nowhere and divide every other one
+    assert set(got) <= minimal
+    rest = [i for i in range(3) if i not in loc]
+
+    def restricted(e):
+        return tuple(e[i] for i in rest)
+
+    kept = [restricted(e) for e in G.lead_exps()]
+    assert not any(_divides(a, b) for i, a in enumerate(kept)
+                   for j, b in enumerate(kept) if i != j)
+    assert all(any(_divides(k, restricted(e)) for k in kept) for e, _ in terms)
+
+
+@_settings
+@given(gens=_gens, elim=st.sets(st.integers(0, 2), min_size=1, max_size=2),
+       modulus=_modulus)
+def test_eliminate_picks_by_leading_monomial_what_support_picks(gens, elim,
+                                                                modulus):
+    """In an elimination order, an element whose leading monomial is free of
+    the eliminated variables is free of them: eliminate's pick by leading
+    monomial equals the pick by support."""
+    ring = _ring(modulus)
+    I = Ideal(ring, [ring.poly(t) for t in gens])
+    rest = tuple(i for i in range(3) if i not in elim)
+    order = block_order([(tuple(sorted(elim)), "degrevlex")]
+                        + ([(rest, "degrevlex")] if rest else []))
+    G = buchberger(I.generators, order)
+    by_support = [g for g in G.elements if not g.support() & elim]
+    assert list(eliminate(I, elim).generators) == by_support
