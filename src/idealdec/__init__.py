@@ -60,7 +60,6 @@ from .ideals import (
     quotient,
     saturate,
     saturation_coefficients,
-    saturation_exponent,
     sort_saturation_coefficients,
 )
 from .indepsets import (
@@ -139,7 +138,7 @@ __all__ = [
     "Ideal", "IdealError", "chained_saturation", "contract",
     "contract_with_trail", "dimension", "eliminate", "ideal_sum",
     "intersect", "quotient", "saturate", "saturation_coefficients",
-    "saturation_exponent", "sort_saturation_coefficients",
+    "sort_saturation_coefficients",
     "IndepSetRanking", "IndepSetReport", "is_independent",
     "maximal_independent_sets", "rank_independent_sets",
     "score_independent_set",

@@ -417,7 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # in exit 3, and the handler is restored below
             try:
                 signal.setitimer(signal.ITIMER_REAL, args.timeout)
-            except (OverflowError, ValueError):
+            except OverflowError:
                 raise CliError(
                     f"--timeout {args.timeout:g} is beyond the system timer's range"
                 ) from None

@@ -581,8 +581,7 @@ def gtz_decompose(
     Algebra*, Prop. 4.3.1): zero_dim_decompose splits only along coprime
     parts of minimal polynomials and along I = (I : g^inf) /\\ (I + <g^e>),
     so its components meet to J_k K(u).  So m is read against that meet,
-    the least m with h^m (J_k : h^inf) inside J_k, with no saturation; a
-    level with no component saturates J_k by h instead.  A
+    the least m with h^m (J_k : h^inf) inside J_k, with no saturation.  A
     zero-dimensional or unit remainder ends the loop, and so does the first
     level after which the components found meet to I (the early exit of the
     GTZ variants in Decker-Greuel-Pfister 1999); more than ``_MAX_DEPTH``
@@ -647,10 +646,11 @@ def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
         h = normalize_assoc(poly_lcm_many(handles)) if handles else J.ring.one
         if h.is_constant():
             return out
+        # J K(u) is proper, so found is never empty; were it, J : h^inf
+        # would be the unit ideal
         if level is None:
-            m = saturate(J, h).exponent
-        else:
-            m = saturation_exponent(J, h, level)
+            level = Ideal(J.ring, [J.ring.one])
+        m = saturation_exponent(J, h, level)
         if m == 0:
             return out
         J = ideal_sum(J, [h ** m])
