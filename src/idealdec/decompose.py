@@ -665,9 +665,12 @@ def apply_automorphism(sigma: SymmetryAction, I: Ideal) -> Ideal:
 
 
 def stabilizes(sigma: SymmetryAction, I: Ideal) -> bool:
-    """Whether the variable permutation maps I onto itself."""
-    J = apply_automorphism(sigma, I)
-    return J.groebner().elements == I.groebner().elements
+    """Whether the variable permutation maps I onto itself.
+
+    Membership suffices: sigma has finite order k, so sigma(I) inside I
+    gives I, sigma(I), ..., sigma^k(I) = I, a chain that must be constant.
+    """
+    return I.contains_ideal(apply_automorphism(sigma, I))
 
 
 def coefficient_orbits(

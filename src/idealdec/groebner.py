@@ -15,7 +15,11 @@ Buchberger's algorithm*, JSC 1988; the UPDATE of Becker and Weispfenning,
 pairs that h covers are dropped (criterion B), the new pairs with h are
 kept only if no smaller new lcm divides theirs (criteria M and F) and are
 then dropped when coprime, and elements whose leading monomial LM(h)
-divides form no further pairs, though they still reduce.  When every
+divides form no further pairs, though they still reduce.  The lcm of
+LM(h) with each element still forming pairs is computed once per
+insertion, inline, and both criteria read it; criterion B visits only the
+queued pairs whose lcm LM(h) divides, and computes the lcm with an element
+no longer forming pairs when such a pair needs it.  When every
 input is a monomial, every S-polynomial is zero and there is no tail to
 reduce, so no pair is formed: the minimal generators, made monic, are the
 reduced basis.  Reduced bases over a field are unique for a fixed order,
@@ -70,7 +74,13 @@ Pfister, *A Singular Introduction to Commutative Algebra*); over GF(p) c
 is taken mod p when it is popped, so residues grow unreduced until then.
 The product of the scale factors is returned with the remainder, so
 normal forms stay exact.  The first divisor in basis order is the one
-used.
+used.  A divisor of a monomial is never greater than it, and packed
+monomials compare in the order, so against a basis sorted by ascending
+leading monomial (interreduction, ``normal_form`` and
+``is_groebner_basis``) a term scans only the entries whose leading
+monomial is at most the term, found by bisection once per term.
+Buchberger's own reductions run against the basis in insertion order and
+scan every entry.
 
 Normal forms exist for plain bases only; a localized basis raises
 ``GroebnerError`` for them.
@@ -79,9 +89,10 @@ Normal forms exist for plain bases only; a localized basis raises
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import itemgetter, le, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -249,17 +260,33 @@ def _field_terms(
     return {unpack(e): Fraction(c, den) for e, c in terms if c}
 
 
+def _checked_order(polys: Sequence[Polynomial],
+                   order: Optional[MonomialOrder]) -> MonomialOrder:
+    """``order``, degrevlex when None, once the polynomials are checked to
+    share one ring and the order to cover it."""
+    ring = polys[0].ring
+    if any(g.ring != ring for g in polys):
+        raise RingError("polynomials from different rings")
+    if order is None:
+        order = degrevlex_order()
+    order.validate(ring.nvars)
+    return order
+
+
 def spolynomial(f, g, order=None):
     """The S-polynomial of f and g.
 
-    For polynomials f and g, with leading terms under the monomial order
-    ``order``, it is returned as a polynomial.  ``buchberger`` and
-    ``is_groebner_basis`` pass the entries of two basis elements and their
-    packing instead and get the integer terms that the kernel reduces:
-    lcm(a_f, a_g) times the S-polynomial, with residues left unreduced over
-    GF(p).
+    For nonzero polynomials f and g of one ring, with leading terms under
+    the monomial order ``order`` (degrevlex when None), it is returned as a
+    polynomial.  ``buchberger`` and ``is_groebner_basis`` pass the entries
+    of two basis elements and their packing instead and get the integer
+    terms that the kernel reduces: lcm(a_f, a_g) times the S-polynomial,
+    with residues left unreduced over GF(p).
     """
     if isinstance(f, Polynomial):
+        order = _checked_order((f, g), order)
+        if f.is_zero() or g.is_zero():
+            raise GroebnerError("the S-polynomial of a zero polynomial")
         p = f.ring.domain.characteristic
 
         def run(packing):
@@ -292,6 +319,7 @@ def _reduce(
     basis: Sequence[Entry],
     packing: _Packing,
     p: int,
+    leads: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[int, int], int]:
     """Full normal form of packed integer terms against basis entries.
 
@@ -299,6 +327,12 @@ def _reduce(
     lies in the ideal of the basis, and no remainder term is divisible by
     a leading monomial of it.  Over GF(p) (p nonzero) scale is 1 and the
     remainder's coefficients are residues.  ``work`` is consumed.
+
+    ``leads``, when given, are the packed leading monomials of a basis
+    sorted by ascending leading monomial: a divisor of a term is never
+    greater than it, so only the entries up to the term's place among them
+    are scanned.  Without it the basis may be in any order, and a term
+    scans every entry.
 
     Terms are popped greatest first from a heap of negated packed
     monomials.  A monomial is pushed once, when it enters the work dict; a
@@ -318,7 +352,8 @@ def _reduce(
             c %= p
         if not c:
             continue
-        for lead, a, tail in basis:
+        for lead, a, tail in (basis if leads is None
+                              else islice(basis, bisect_right(leads, e))):
             shift = e - lead
             if shift & guards:
                 continue
@@ -371,6 +406,7 @@ class GroebnerBasis:
         "localized_vars",
         "_entries",
         "_packing",
+        "_packed_leads",
         "_leads",
         "_elements",
     )
@@ -387,7 +423,8 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self.computation_order = computation_order
-        self._leads = [packing.unpack(entry[0]) for entry in entries]
+        self._packed_leads = [entry[0] for entry in entries]
+        self._leads = [packing.unpack(lead) for lead in self._packed_leads]
         self.localized_vars = localized_vars
         self._entries = entries
         self._packing = packing
@@ -467,11 +504,12 @@ class GroebnerBasis:
             width = max(width, self._packing.width)
 
         def run(packing):
-            entries = self._entries
+            entries, leads = self._entries, self._packed_leads
             if packing is not self._packing:
                 entries = [_poly_entry(g, packing) for g in self.elements]
+                leads = [entry[0] for entry in entries]
             terms, den = _packed_terms(f, packing)
-            r, scale = _reduce(terms, entries, packing, p)
+            r, scale = _reduce(terms, entries, packing, p, leads)
             return _field_terms(r.items(), den * scale, p, packing)
 
         terms = _widening(self.computation_order, self.ring.nvars, width, run)
@@ -546,17 +584,18 @@ def _staircase_count(lead_projs: List[Exponents], nrel: int) -> int:
 
 
 def _interreduce(entries: List[Entry], packing: _Packing, p: int) -> None:
-    """Tail-reduce the entries of a minimal basis in place, which makes it
-    the reduced basis.
+    """Tail-reduce the entries of a minimal basis, by ascending leading
+    monomial, in place, which makes it the reduced basis.
 
     Leading monomials of a minimal basis divide one another nowhere and
     never change here, and no tail term is divisible by its own leading
     monomial.  So one pass, each tail reduced against all entries, leaves
     no tail term divisible by any leading monomial.
     """
+    leads = [entry[0] for entry in entries]
     for i, (lead, a, tail) in enumerate(entries):
         # scale (a x^lead + tail) = scale a x^lead + r modulo the ideal
-        r, scale = _reduce(dict(tail), entries, packing, p)
+        r, scale = _reduce(dict(tail), entries, packing, p, leads)
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
 
 
@@ -576,6 +615,7 @@ def _reduced_entries(
     """The entries of the reduced basis of the nonzero ``gens`` under the
     packing's order."""
     guards, field, lcm_of = packing.guards, packing.field, packing.lcm
+    exps, overflow, top = packing.exps, packing.overflow, packing.width - 1
     inputs = sorted((_poly_entry(g, packing) for g in gens), key=itemgetter(0))
     if not any(tail for _, _, tail in inputs):
         # monomial inputs: every S-polynomial is zero and there are no tails
@@ -599,21 +639,32 @@ def _reduced_entries(
         j = len(entries)
         entries.append(entry)
         lead_m.append(lm)
+        # lcm(i, j) for every live i, computed once as in _Packing.lcm, and
+        # the new pairs for criteria M and F
+        lcms: Dict[int, int] = {}
+        new = []
+        for i in live:
+            a = lead_m[i]
+            t = ((a | guards) - lm) & guards
+            m = (lm ^ (a ^ lm) & (t - (t >> top))) & exps
+            d = m % field
+            if d & overflow:
+                raise _Overflow
+            m |= d
+            lcms[i] = m
+            new.append((d, d != degree + (a & field), i, m))
         # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
-        # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair
-        for (i, k), m in list(pairs.items()):
-            if (not (m - lm) & guards
-                    and lcm_of(lead_m[i], lm) != m
-                    and lcm_of(lead_m[k], lm) != m):
+        # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair; the lcm
+        # with an element no longer live is made here (a zero lcm, of two
+        # constants, is merely made again)
+        for (i, k), m in [(ik, m) for ik, m in pairs.items()
+                          if not (m - lm) & guards]:
+            if ((lcms.get(i) or lcm_of(lead_m[i], lm)) != m
+                    and (lcms.get(k) or lcm_of(lead_m[k], lm)) != m):
                 del pairs[i, k]
         # criteria M and F: by ascending degree, coprime pairs first, keep
         # a new pair only if no kept lcm divides its lcm; then drop the
         # coprime pairs, whose S-polynomials reduce to zero
-        new = []
-        for i in live:
-            m = lcm_of(lead_m[i], lm)
-            d = m & field
-            new.append((d, d != degree + (lead_m[i] & field), i, m))
         new.sort()
         kept: List[int] = []
         for _, shared, i, m in new:
@@ -657,16 +708,11 @@ def buchberger(
     plain lex/degrevlex kind; the computation order becomes the block order
     (rest, kind) >> (u, kind).
     """
-    if order is None:
-        order = degrevlex_order()
     gens = [g for g in gens if g is not None]
     if not gens:
         raise GroebnerError("no generators")
+    order = _checked_order(gens, order)
     ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingError("generators from different rings")
-    order.validate(ring.nvars)
     # localizing at no variable is no localization
     loc = frozenset(localized_vars or ()) or None
     if loc is not None:
@@ -712,18 +758,27 @@ def buchberger(
 
 
 def is_groebner_basis(
-    elements: Sequence[Polynomial], order: MonomialOrder
+    elements: Sequence[Polynomial], order: Optional[MonomialOrder] = None
 ) -> bool:
-    """Postcondition check: every S-polynomial reduces to zero (no pruning)."""
+    """Postcondition check: every S-polynomial reduces to zero (no pruning).
+
+    ``order`` defaults to degrevlex.  The elements are taken by ascending
+    leading monomial; whether every S-polynomial reduces to zero does not
+    depend on the reducers chosen.
+    """
+    if elements:
+        order = _checked_order(elements, order)
     elems = [g for g in elements if not g.is_zero()]
     if not elems:
         return True
     p = elems[0].ring.domain.characteristic
 
     def run(packing):
-        entries = [_poly_entry(g, packing) for g in elems]
+        entries = sorted((_poly_entry(g, packing) for g in elems), key=itemgetter(0))
+        leads = [entry[0] for entry in entries]
         return not any(
-            _reduce(spolynomial(entries[i], entries[j], packing), entries, packing, p)[0]
+            _reduce(spolynomial(entries[i], entries[j], packing), entries, packing, p,
+                    leads)[0]
             for i in range(len(entries)) for j in range(i + 1, len(entries)))
 
     return _widening(order, elems[0].ring.nvars,

@@ -650,6 +650,49 @@ def test_apply_automorphism_and_stabilizes(rxyzw):
     assert not stabilizes(rho, I)
 
 
+def _stabilizes_by_bases(sigma, I):
+    """The definition by bases: sigma(I) and I have one reduced basis."""
+    return apply_automorphism(sigma, I).groebner().elements == I.groebner().elements
+
+
+def test_stabilizes_agrees_with_basis_equality(rxyzw):
+    from idealdec.hyperedge import HyperedgeSpec, build_hyperedge_ideal
+
+    spec = HyperedgeSpec(name="minors-3x5", rows=3, cols=5, letters=("x", "y", "z"),
+                         hyperedges=(tuple(range(1, 6)),))
+    minors = build_hyperedge_ideal(spec)
+    # the adjacent column transpositions stabilize the minors; a swap of
+    # two entries of different rows and columns does not
+    cases = [(minors, "".join(f"({a}{c} {a}{c + 1})" for a in "xyz"), True)
+             for c in range(1, 5)]
+    cases.append((minors, "(x1 y2)", False))
+    I = _ideal(rxyzw, "x*z - 1", "y*w - 1")
+    cases += [(I, "(x y)(z w)", True), (I, "(x y)", False)]
+    for J, cycles, expected in cases:
+        sigma = SymmetryAction.from_cycles(J.ring, cycles)
+        assert stabilizes(sigma, J) == _stabilizes_by_bases(sigma, J) == expected, cycles
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gens=st.lists(st.lists(_small_term, min_size=1, max_size=3),
+                     min_size=1, max_size=2),
+       image=st.permutations(range(3)), closed=st.booleans())
+def test_stabilizes_agrees_with_basis_equality_on_small_ideals(gens, image, closed):
+    ring = PolyRing(("x", "y", "z"), QQ)
+    sigma = SymmetryAction(tuple(image))
+    polys = [sum((ring.monomial(e).scale(c) for e, c in terms), ring.zero)
+             for terms in gens]
+    if closed:
+        # with the images of its generators under sigma, sigma^2, ..., the
+        # ideal is stabilized; every permutation of three has order dividing 6
+        for _ in range(5):
+            polys += [sigma(f) for f in polys[-len(gens):]]
+    I = Ideal(ring, polys)
+    assert stabilizes(sigma, I) == _stabilizes_by_bases(sigma, I)
+    if closed:
+        assert stabilizes(sigma, I)
+
+
 def test_coefficient_orbits_collapse_under_symmetry(rxyzw):
     I = _ideal(rxyzw, "x*z - 1", "y*w - 1")
     sigma = SymmetryAction.from_cycles(rxyzw, "(x y)(z w)")

@@ -1,4 +1,5 @@
-"""Buchberger: reduced bases, normal forms, localized bases, sympy oracle."""
+"""Buchberger: reduced bases, normal forms, localized bases, sympy oracle,
+input checks and exact S-polynomial counts."""
 
 import pytest
 
@@ -9,8 +10,11 @@ from idealdec.groebner import (
     is_groebner_basis,
     spolynomial,
 )
-from idealdec.orders import degrevlex_order, lex_order
-from idealdec.rings import RingError
+from idealdec.domains import QQ, PrimeField
+from idealdec.orders import DEGREVLEX, OrderError, block_order, degrevlex_order, lex_order
+from idealdec.rings import PolyRing, RingError
+
+from test_decompose import _path_edge_ideal
 
 
 def _gb(ring, texts, order=None, localized=None):
@@ -24,6 +28,46 @@ def test_spolynomial_cancels_leading_terms(rxy):
     g = rxy.parse("x*y - 1")
     s = spolynomial(f, g, order)
     assert s == rxy.parse("x - y^2")
+
+
+def test_spolynomial_defaults_to_degrevlex(rxyz):
+    f, g = rxyz.parse("x^2 - y"), rxyz.parse("x*y - z")
+    assert spolynomial(f, g) == spolynomial(f, g, degrevlex_order())
+    assert spolynomial(f, g) == rxyz.parse("x*z - y^2")
+
+
+@pytest.mark.parametrize("ring", [
+    PolyRing(("x", "y"), QQ),
+    PolyRing(("x", "y", "z"), PrimeField(7)),
+], ids=["fewer-variables", "other-field"])
+def test_spolynomial_and_check_reject_mixed_rings(rxyz, ring):
+    f, g = ring.parse("x^2 - y"), rxyz.parse("x*y - z")
+    with pytest.raises(RingError):
+        spolynomial(f, g, lex_order())
+    with pytest.raises(RingError):
+        is_groebner_basis([f, g], lex_order())
+
+
+def test_spolynomial_and_check_reject_an_order_short_of_the_ring(rxyz):
+    f, g = rxyz.parse("x^2 - y"), rxyz.parse("x*y - z")
+    short = block_order([((0,), DEGREVLEX)])
+    with pytest.raises(OrderError):
+        spolynomial(f, g, short)
+    with pytest.raises(OrderError):
+        is_groebner_basis([f, g], short)
+
+
+def test_spolynomial_of_zero_is_an_error(rxy):
+    f = rxy.parse("x^2 - y")
+    for args in [(f, rxy.zero), (rxy.zero, f)]:
+        with pytest.raises(GroebnerError):
+            spolynomial(*args, lex_order())
+
+
+def test_groebner_check_defaults_to_degrevlex(rxyz):
+    texts = ["x^2 - y", "x*y - z"]
+    assert is_groebner_basis(_gb(rxyz, texts).elements)
+    assert not is_groebner_basis([rxyz.parse(t) for t in texts])
 
 
 def test_reduced_basis_of_linear_system(rxy):
@@ -151,8 +195,8 @@ KATSURA5 = [
 ]
 
 
-def _count_spolynomials(monkeypatch, gens):
-    """The degrevlex basis of gens and the number of S-polynomials formed."""
+def _count_spolynomials(monkeypatch, compute):
+    """compute() and the number of S-polynomials it formed."""
     import idealdec.groebner as groebner
 
     real = groebner.spolynomial
@@ -163,7 +207,7 @@ def _count_spolynomials(monkeypatch, gens):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "spolynomial", counted)
-    return buchberger(gens, degrevlex_order()), len(calls)
+    return compute(), len(calls)
 
 
 def test_maximal_minors_3x9_spolynomial_count(monkeypatch):
@@ -175,19 +219,45 @@ def test_maximal_minors_3x9_spolynomial_count(monkeypatch):
                          hyperedges=(tuple(range(1, 10)),))
     gens = build_hyperedge_ideal(spec).generators
     assert len(gens) == 84
-    G, count = _count_spolynomials(monkeypatch, gens)
+    G, count = _count_spolynomials(monkeypatch, lambda: buchberger(gens, degrevlex_order()))
     assert len(G) == 84
-    assert 0 < count <= 378
+    assert count == 378
+
+
+def _katsura5_spolynomial_count(monkeypatch, field):
+    ring = PolyRing(tuple(f"u{i}" for i in range(6)), field)
+    gens = [ring.parse(t) for t in KATSURA5]
+    G, count = _count_spolynomials(monkeypatch, lambda: buchberger(gens, degrevlex_order()))
+    assert len(G) == 22
+    return count
 
 
 def test_katsura5_spolynomial_count(monkeypatch):
-    from idealdec.domains import QQ
-    from idealdec.rings import PolyRing
+    assert _katsura5_spolynomial_count(monkeypatch, QQ) == 66
 
-    ring = PolyRing(tuple(f"u{i}" for i in range(6)), QQ)
-    G, count = _count_spolynomials(monkeypatch, [ring.parse(t) for t in KATSURA5])
-    assert len(G) == 22
-    assert 0 < count <= 66
+
+def test_katsura5_spolynomial_count_over_gf32003(monkeypatch):
+    assert _katsura5_spolynomial_count(monkeypatch, PrimeField(32003)) == 66
+
+
+def test_localized_path_basis_spolynomial_count(monkeypatch):
+    I = _path_edge_ideal(6)
+    u = [I.ring.names.index(v) for v in ("x1", "x3", "x5", "y1", "y3")]
+    G, count = _count_spolynomials(
+        monkeypatch, lambda: buchberger(I.generators, degrevlex_order(), u))
+    assert len(G) == 6
+    assert count == 20
+
+
+@pytest.mark.parametrize("n, expected", [(4, 1040), (5, 13950)])
+def test_path_decomposition_spolynomial_count(monkeypatch, n, expected):
+    # every basis of a whole GTZ run: the pair decisions of all its orders
+    from idealdec.decompose import gtz_decompose
+
+    I = _path_edge_ideal(n)
+    result, count = _count_spolynomials(monkeypatch, lambda: gtz_decompose(I))
+    assert result.complete
+    assert count == expected
 
 
 def test_katsura5_basis_equals_the_sympy_reference():

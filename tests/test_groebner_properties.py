@@ -26,10 +26,15 @@ generators use variables above bit 63 the basis is still a Groebner basis
 in three variables.  A lex basis whose degree outgrows the first field
 width equals sympy's, and the run at the widened width forms exactly the
 S-polynomials of a run that started wide.
+
+Against random bases sorted by leading monomial, the reducer's bounded
+scan returns the remainder and scale of a full scan in basis order, the
+reference kept here.
 """
 
 from fractions import Fraction
-from operator import add
+from math import gcd
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,13 +164,17 @@ _blocks = st.tuples(
 )
 
 
+def _two_blocks(blocks):
+    perm, cut, front_kind, back_kind = blocks
+    return block_order([(tuple(sorted(perm[:cut])), front_kind),
+                        (tuple(sorted(perm[cut:])), back_kind)])
+
+
 @_settings
 @given(gens=_gens, blocks=_blocks, modulus=_modulus)
 def test_block_order_basis_passes_unpruned_check(gens, blocks, modulus):
     ring = _ring(modulus)
-    perm, cut, front_kind, back_kind = blocks
-    order = block_order([(tuple(sorted(perm[:cut])), front_kind),
-                         (tuple(sorted(perm[cut:])), back_kind)])
+    order = _two_blocks(blocks)
     G = buchberger([ring.poly(t) for t in gens], order)
     assert is_groebner_basis(G.elements, order)
 
@@ -288,6 +297,55 @@ def test_packed_monomials_match_tuple_definitions(case):
             packing.lcm(ca, cb)
 
 
+def _full_scan_reduce(work, basis, packing, p):
+    """What ``_reduce`` computes, by its definition: the greatest term
+    first, the first divisor in basis order with every entry scanned, the
+    work scaled by a / gcd(a, c) for a reducer with leading coefficient a."""
+    guards = packing.guards
+    remainder, scale = {}, 1
+    while work:
+        e = max(work)
+        c = work.pop(e)
+        if p:
+            c %= p
+        if not c:
+            continue
+        for lead, a, tail in basis:
+            if (e - lead) & guards:
+                continue
+            g = gcd(a, c)
+            m, c = a // g, c // g
+            scale *= m
+            work = {t: v * m for t, v in work.items()}
+            remainder = {t: v * m for t, v in remainder.items()}
+            for t, v in tail:
+                t += e - lead
+                work[t] = work.get(t, 0) - c * v
+            break
+        else:
+            remainder[e] = c
+    return remainder, scale
+
+
+@_settings
+@given(basis=st.lists(_terms(2, 4), min_size=1, max_size=4), target=_terms(4, 6),
+       order=st.one_of(_order.map(ORDERS.get), _blocks.map(_two_blocks)),
+       modulus=st.sampled_from([None, 7, 32003]))
+def test_bounded_reduce_matches_a_full_scan(basis, target, order, modulus):
+    # any nonzero polynomials, by ascending leading monomial, duplicates and
+    # leading monomials that divide one another included; 16-bit fields
+    # hold every degree a lex reduction reaches from these
+    ring = _ring(modulus)
+    packing = _packing(order, 3, 16)
+    entries = sorted((groebner._poly_entry(ring.poly(t), packing) for t in basis),
+                     key=itemgetter(0))
+    leads = [entry[0] for entry in entries]
+    work, _ = groebner._packed_terms(ring.poly(target), packing)
+    expected = _full_scan_reduce(dict(work), entries, packing, modulus)
+    assert groebner._reduce(dict(work), entries, packing, modulus, leads) == expected
+    assert groebner._reduce(dict(work), entries, packing, modulus) == expected
+
+
 # three of 72 variables, one of index below 64 and two above, in increasing
 # order, so a basis in them equals the one in Q[x,y,z] or GF(7)[x,y,z]
 _WIDE = 72
@@ -400,12 +458,7 @@ def test_monomial_generators_give_the_minimal_generators(case, how, modulus):
     ring = _ring(modulus)
     polys = [ring.poly({e: k}) for e, k in terms]
     spec, loc = how
-    if isinstance(spec, tuple):
-        perm, cut, front_kind, back_kind = spec
-        order = block_order([(tuple(sorted(perm[:cut])), front_kind),
-                             (tuple(sorted(perm[cut:])), back_kind)])
-    else:
-        order = ORDERS[spec]
+    order = _two_blocks(spec) if isinstance(spec, tuple) else ORDERS[spec]
 
     def no_spolynomial(*args):
         raise AssertionError("an S-polynomial of monomials was formed")
