@@ -165,11 +165,14 @@ def _parse_spec_file(path: str) -> HyperedgeSpec:
 
 def _emit(sink: Sequence[str], out: Optional[str]) -> None:
     text = "\n".join(sink) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        raise CliError(f"cannot write {out}: {ex.strerror or ex}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = _DISPATCH[args.command](args, sink)
     except _TimeoutExpired:
         sink.append(f"timeout after {args.timeout:g}s")
-        _emit(sink, args.out)
-        return EXIT_TIMEOUT
+        code = EXIT_TIMEOUT
     except CliError as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
@@ -442,7 +444,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if timing:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old_handler)
-    _emit(sink, args.out)
+    try:
+        _emit(sink, args.out)
+    except CliError as ex:
+        print(f"idealdec: error: {ex}", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

@@ -12,6 +12,7 @@ with LF line endings.  Example::
 from __future__ import annotations
 
 import hashlib
+import io
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ideals import Ideal
@@ -45,11 +46,25 @@ def _content_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, text
 
 
+def _text_lines(path: str) -> io.StringIO:
+    """The lines of a UTF-8 text file, with universal newlines.  Bytes that
+    are not UTF-8 raise FileFormatError naming the path and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as ex:
+        before = io.StringIO(data[:ex.start].decode("utf-8"), newline=None).read()
+        line = before.count("\n") + 1
+        raise FileFormatError(
+            f"{path}: line {line}: not UTF-8 ({ex.reason}, byte 0x{data[ex.start]:02x})"
+        ) from None
+
+
 def read_content_lines(path: str) -> List[Tuple[int, str]]:
     """(line number from 1, stripped text) for each line of a UTF-8 text
     file that is not blank once its ``#`` comment is cut."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(_content_lines(fh))
+    return list(_content_lines(_text_lines(path)))
 
 
 def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomial]]:
@@ -69,8 +84,7 @@ def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomi
 
 
 def read_generators(path: str) -> Tuple[PolyRing, List[Polynomial]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_generator_lines(fh)
+    return parse_generator_lines(_text_lines(path))
 
 
 def read_ideal(path: str) -> Ideal:

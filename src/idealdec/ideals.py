@@ -2,14 +2,19 @@
 
 An Ideal is a generator list bound to a ring, with cached Groebner bases
 keyed by order and localization.  The operations follow the standard
-eliminate-a-tag-variable constructions:
+eliminate-a-tag-variable constructions, except for two kinds of input that
+need no tag:
 
-* intersect(I, J):  eliminate t from t*I + (1-t)*J;
+* intersect(I, J):  for monomial I and J the minimal lcms of generator
+  pairs; otherwise eliminate t from t*I + (1-t)*J;
 * quotient(I, f):   generators of (I meet <f>) divided exactly by f;
-* saturate(I, h):   eliminate w from I + <w*h - 1> (Rabinowitsch), then the
+* saturate(I, h):   for homogeneous I and a single term h, one variable x
+  of h at a time, the reduced basis under degrevlex with x last divided by
+  x-contents (Bayer; a monomial I drops the variables from its generators);
+  otherwise eliminate w from I + <w*h - 1> (Rabinowitsch).  Then the
   exponent: the least m with h^m (I : h^infinity) inside I, by normal forms
   (saturation_exponent, which also serves a caller that already holds
-  I : h^infinity, such as a level of GTZ, with no elimination);
+  I : h^infinity, such as a level of GTZ, with no saturation);
 * eliminate(I, V):  block order with V in front; only the basis elements
   whose leading monomial is free of V are built as polynomials;
 * contract(I, u):   chained saturations of I by the K[u]-leading
@@ -23,18 +28,20 @@ Each construction has one fixed order; none takes an order as a parameter.
 Every tag (t or w here, and the tag of a linear form in decompose) is
 adjoined last by rings.adjoin and removed by eliminate, the only code that
 builds an elimination order: the tag's block in front of degrevlex on the
-ring.  So every saturation, from decomposition or from contraction, runs
-under that one order.  The localized basis that yields the contraction's
-coefficients is lex.  Saturations are not cached: each call eliminates
-afresh.
+ring.  So every saturation that needs a tag, from decomposition or from
+contraction, runs under that one order; a tag-free one runs under
+degrevlex with its variable moved last.  The localized basis that yields
+the contraction's coefficients is lex.  Saturations are not cached: each
+call computes its bases afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groebner import GroebnerBasis, buchberger
+from .groebner import Exponents, GroebnerBasis, buchberger
 from .orders import DEGREVLEX, MonomialOrder, block_order, degrevlex_order, lex_order
 from .polygcd import exact_divide, normalize_assoc
 from .rings import Polynomial, PolyRing, RingError, adjoin, inject, project
@@ -139,13 +146,43 @@ def _eliminate_tag(
     return Ideal(ring, [project(g, ring) for g in J.generators])
 
 
+def _is_monomial(f: Polynomial) -> bool:
+    return len(f.terms) == 1
+
+
+def _is_homogeneous(f: Polynomial) -> bool:
+    return len({sum(e) for e in f.terms}) == 1
+
+
+def _monomial_exps(f: Polynomial) -> Exponents:
+    return next(iter(f.terms))
+
+
+def _monomial_ideal(ring: PolyRing, exps: Iterable[Exponents]) -> Ideal:
+    """The ideal of the monomials ``exps``, on its minimal generators, monic
+    and by ascending degree: meets and saturations of monomial ideals chain,
+    and unminimalised generator lists would multiply along the chain."""
+    kept: List[Exponents] = []
+    # a proper divisor has the lower degree, so it is kept first
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(all(map(le, k, e)) for k in kept):
+            kept.append(e)
+    one = ring.domain.one
+    return Ideal(ring, [Polynomial(ring, {e: one}) for e in kept])
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I meet J via elimination of a tag variable t from t*I + (1-t)*J."""
+    """I meet J: for monomial ideals the minimal lcms of generator pairs,
+    otherwise by elimination of a tag variable t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise RingError("ideals in different rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
+    if all(map(_is_monomial, I.generators + J.generators)):
+        return _monomial_ideal(
+            ring, [tuple(map(max, a, b)) for a in map(_monomial_exps, I.generators)
+                   for b in map(_monomial_exps, J.generators)])
     if I.is_trivial():
         return Ideal(ring, J.generators)
     if J.is_trivial():
@@ -190,11 +227,45 @@ def saturation_exponent(I: Ideal, h: Polynomial, S: Ideal) -> int:
         exponent += 1
 
 
+def _saturate_by_variables(I: Ideal, variables: frozenset) -> Ideal:
+    """I : (product of the variables)^infinity for I with homogeneous
+    generators, one variable x at a time, with no tag variable.
+
+    A monomial ideal drops the variables from its generators.  Otherwise,
+    under degrevlex with x last, x^k divides a homogeneous polynomial iff it
+    divides its leading monomial, so dividing each element of the reduced
+    basis by its x-content gives a basis of I : x^infinity (Bayer; Eisenbud,
+    *Commutative Algebra*, Prop. 15.12).  Saturations of homogeneous ideals
+    are homogeneous, so the chain stays on this path.
+    """
+    ring = I.ring
+    if all(map(_is_monomial, I.generators)):
+        return _monomial_ideal(
+            ring, [tuple(0 if i in variables else d for i, d in enumerate(e))
+                   for e in map(_monomial_exps, I.generators)])
+    current = I
+    for x in sorted(variables):
+        order = block_order([(tuple(i for i in range(ring.nvars) if i != x) + (x,),
+                               DEGREVLEX)])
+        G = buchberger(current.generators, order)
+        contents = [e[x] for e in G.lead_exps()]
+        if any(contents):
+            current = Ideal(ring, [
+                Polynomial(ring, {e[:x] + (e[x] - k,) + e[x + 1:]: c
+                                  for e, c in G.element(j).terms.items()})
+                for j, k in enumerate(contents)])
+    return current
+
+
 def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
     """The saturation S = I : h^infinity and its exponent.
 
-    S comes from one elimination of w from I + <w*h - 1>, and the exponent
-    from saturation_exponent(I, h, S).  With exponent 0 the result has I's
+    When h is a single term and every generator of I is homogeneous, S
+    comes from _saturate_by_variables on the variables of h; otherwise from
+    one elimination of w from I + <w*h - 1> (Rabinowitsch).  Homogeneity is
+    needed: on <x^2*z^2 + x*y^2, x^2*z - 2*x*y*z^2> dividing by y-contents
+    misses x*z^3 + 1/2*x*y of I : y^infinity.  The exponent comes from
+    saturation_exponent(I, h, S).  With exponent 0 the result has I's
     generators.
     """
     if h.ring != I.ring:
@@ -203,11 +274,14 @@ def saturate(I: Ideal, h: Polynomial) -> SaturationResult:
         raise IdealError("saturation by zero")
     exponent = 0
     if not (h.is_constant() or I.is_zero()):
-        S = _eliminate_tag(
-            I.ring, "w",
-            lambda big, w: [inject(g, big) for g in I.generators]
-            + [w * inject(h, big) - big.one],
-        )
+        if _is_monomial(h) and all(map(_is_homogeneous, I.generators)):
+            S = _saturate_by_variables(I, h.support())
+        else:
+            S = _eliminate_tag(
+                I.ring, "w",
+                lambda big, w: [inject(g, big) for g in I.generators]
+                + [w * inject(h, big) - big.one],
+            )
         exponent = saturation_exponent(I, h, S)
     # exponent 0: I is saturated; keep its generators but not its cached bases
     return SaturationResult(S if exponent else Ideal(I.ring, I.generators), exponent)

@@ -289,6 +289,161 @@ def test_decompose_zero_ideal(capsys, gens_file):
     ]
 
 
+# whole decompose reports, byte for byte: the saturation exponents and
+# components of the edge ideal of the 6-cycle, the binomial edge ideal of
+# the path on four vertices and a monomial
+DECOMPOSE_GOLDENS = {
+    "c6": (
+        "ring Q[x1,x2,x3,x4,x5,x6]\nx1*x2\nx2*x3\nx3*x4\nx4*x5\nx5*x6\nx6*x1\n",
+        """\
+idealdec report v1
+# command: decompose
+# input: c6.gens sha256=2fefcf3cc647850dd1d9003898499cc940feb6ee58a5eede79eb9ab3dea02363
+# seed: 0
+# budget: none
+ring Q[x1..x6]
+components 5
+complete yes
+component 1 certified=yes certificate=dimension-1
+component 1 u x2,x4,x6
+component 1 saturation x6 exp=1
+component 1 saturation x4 exp=1
+component 1 primary x5
+component 1 primary x3
+component 1 primary x1
+component 1 prime x5
+component 1 prime x3
+component 1 prime x1
+component 2 certified=yes certificate=dimension-1
+component 2 u x1,x3,x5
+component 2 saturation x5 exp=1
+component 2 saturation x3 exp=1
+component 2 primary x6
+component 2 primary x4
+component 2 primary x2
+component 2 prime x6
+component 2 prime x4
+component 2 prime x2
+component 3 certified=yes certificate=dimension-1
+component 3 u x3,x6
+component 3 saturation x6 exp=1
+component 3 primary x5
+component 3 primary x4
+component 3 primary x2
+component 3 primary x1
+component 3 prime x5
+component 3 prime x4
+component 3 prime x2
+component 3 prime x1
+component 4 certified=yes certificate=dimension-1
+component 4 u x2,x5
+component 4 saturation x5 exp=1
+component 4 primary x6
+component 4 primary x4
+component 4 primary x3
+component 4 primary x1
+component 4 prime x6
+component 4 prime x4
+component 4 prime x3
+component 4 prime x1
+component 5 certified=yes certificate=dimension-1
+component 5 u x1,x4
+component 5 saturation x4 exp=1
+component 5 saturation x1 exp=1
+component 5 primary x6
+component 5 primary x5
+component 5 primary x3
+component 5 primary x2
+component 5 prime x6
+component 5 prime x5
+component 5 prime x3
+component 5 prime x2
+""",
+    ),
+    "p4": (
+        "ring Q[x1,x2,x3,x4,y1,y2,y3,y4]\nx1*y2 - x2*y1\nx2*y3 - x3*y2\nx3*y4 - x4*y3\n",
+        """\
+idealdec report v1
+# command: decompose
+# input: p4.gens sha256=684b123dd4e5f6f7cd20e70d3ef24b7a7d24cf0ca36f840ca114f98554017ee6
+# seed: 0
+# budget: none
+ring Q[x1..x4,y1..y4]
+components 3
+complete yes
+component 1 certified=yes certificate=dimension-1
+component 1 u x1,x3,y1,y3,y4
+component 1 saturation y3 exp=1
+component 1 saturation x3^3*y4 exp=1
+component 1 primary y2
+component 1 primary x2
+component 1 primary -x3*y4 + x4*y3
+component 1 prime y2
+component 1 prime x2
+component 1 prime -x3*y4 + x4*y3
+component 2 certified=yes certificate=dimension-1
+component 2 u x1,x2,x4,y2,y4
+component 2 saturation x2 exp=3
+component 2 saturation y4 exp=1
+component 2 saturation x4^3*y2 exp=0
+component 2 primary y3
+component 2 primary x3
+component 2 primary -x1*y2 + x2*y1
+component 2 prime y3
+component 2 prime x3
+component 2 prime -x1*y2 + x2*y1
+component 3 certified=yes certificate=dimension-1
+component 3 u x1,x2,x3,x4,y4
+component 3 saturation x4 exp=0
+component 3 saturation x3 exp=1
+component 3 saturation x2 exp=1
+component 3 primary -x3*y4 + x4*y3
+component 3 primary -x2*y4 + x4*y2
+component 3 primary -x2*y3 + x3*y2
+component 3 primary -x1*y4 + x4*y1
+component 3 primary -x1*y3 + x3*y1
+component 3 primary -x1*y2 + x2*y1
+component 3 prime -x3*y4 + x4*y3
+component 3 prime -x2*y4 + x4*y2
+component 3 prime -x2*y3 + x3*y2
+component 3 prime -x1*y4 + x4*y1
+component 3 prime -x1*y3 + x3*y1
+component 3 prime -x1*y2 + x2*y1
+""",
+    ),
+    "mono": (
+        "ring Q[x,y]\nx^2*y^3\n",
+        """\
+idealdec report v1
+# command: decompose
+# input: mono.gens sha256=25ae718df5272e14df1dbbd46af9f0a1c3db87baae58f288b0c6511a4bbdba4e
+# seed: 0
+# budget: none
+ring Q[x,y]
+components 2
+complete yes
+component 1 certified=yes certificate=dimension-1
+component 1 u y
+component 1 saturation y^3 exp=1
+component 1 primary x^2
+component 1 prime x
+component 2 certified=yes certificate=dimension-1
+component 2 u x
+component 2 primary y^3
+component 2 prime y
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDENS))
+def test_decompose_report_goldens(capsys, gens_file, name):
+    text, report = DECOMPOSE_GOLDENS[name]
+    code, out, err = run(capsys, "decompose", gens_file(text, name=f"{name}.gens"))
+    assert code == EXIT_OK and err == ""
+    assert out == report
+
+
 def test_decompose_and_primality_refuse_prime_fields(capsys, gens_file):
     path = gens_file("ring GF(7)[x,y]\nx^2 - 2*y^2\n")
     for command in ("decompose", "primality"):
@@ -486,6 +641,47 @@ def test_unreadable_files_are_reported(capsys, gens_file, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR
         assert err.startswith("idealdec: error: cannot read "), argv
+
+
+def _bytes_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["groebner", "decompose"])
+def test_non_utf8_generator_file_is_a_line_numbered_error(capsys, tmp_path, command):
+    path = _bytes_file(tmp_path, "bad.gens", b"ring Q[x,y]\nx*y\xff\n")
+    code, out, err = run(capsys, command, path)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"idealdec: error: {path}: line 2: not UTF-8")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_symmetry_file_is_a_line_numbered_error(capsys, gens_file, tmp_path):
+    sym = _bytes_file(tmp_path, "sym.txt", b"# swap\r\n(y z)\r\n(x\xfe y)\n")
+    code, out, err = run(capsys, "primality", gens_file(XYXZ), "--symmetry-file", sym)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"idealdec: error: {sym}: line 3: not UTF-8")
+
+
+def test_non_utf8_spec_file_is_a_line_numbered_error(capsys, tmp_path):
+    spec = _bytes_file(tmp_path, "bad.spec", b"name t\xc3\nrows 2\n")
+    code, out, err = run(capsys, "build", spec)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"idealdec: error: {spec}: line 1: not UTF-8")
+
+
+@pytest.mark.parametrize("timeout", [[], ["--timeout", "1e-9"]])
+def test_unwritable_out_is_reported(capsys, gens_file, tmp_path, timeout):
+    # a missing directory, and a directory; with a timeout the partial log
+    # is written the same way
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, "decompose", gens_file(XYXZ),
+                             "--out", str(target), *timeout)
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith(f"idealdec: error: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 def test_headerless_input_file(capsys, gens_file):

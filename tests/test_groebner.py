@@ -249,7 +249,7 @@ def test_localized_path_basis_spolynomial_count(monkeypatch):
     assert count == 20
 
 
-@pytest.mark.parametrize("n, expected", [(4, 1040), (5, 13950)])
+@pytest.mark.parametrize("n, expected", [(4, 868), (5, 10658)], ids=["P4", "P5"])
 def test_path_decomposition_spolynomial_count(monkeypatch, n, expected):
     # every basis of a whole GTZ run: the pair decisions of all its orders
     from idealdec.decompose import gtz_decompose

@@ -3,13 +3,14 @@ contraction, dimension."""
 
 import time
 from functools import reduce
-from operator import mul
+from operator import le, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealdec.domains import QQ
+from idealdec.domains import QQ, PrimeField
 from idealdec.ideals import (
     Ideal,
     IdealError,
@@ -27,7 +28,7 @@ from idealdec.ideals import (
 )
 from idealdec.indepsets import maximal_independent_sets
 from idealdec.orders import lex_order
-from idealdec.rings import PolyRing
+from idealdec.rings import PolyRing, adjoin, inject, project
 
 
 def _ideal(ring, *texts):
@@ -240,3 +241,117 @@ def test_contract_is_saturation_by_the_coefficient_product(gens, data):
     whole = saturate(I, reduce(mul, cs, _RXYZ.one)).ideal
     assert contract(I, u).equals(whole)
     assert chained_saturation(I, cs[::-1])[0].equals(whole)
+
+
+# -- saturation and intersection without a tag variable -----------------------
+#
+# The references below eliminate a tag variable themselves, through
+# eliminate; quotient is no reference, as it intersects.
+
+
+def _rabinowitsch(I, h):
+    """I : h^infinity by eliminating w from I + <w*h - 1>, and the least m
+    with h^m (I : h^infinity) inside I, by membership."""
+    big, w = adjoin(I.ring, "w")
+    tag = big.var(big.names[w])
+    E = eliminate(Ideal(big, [inject(g, big) for g in I.generators]
+                        + [tag * inject(h, big) - big.one]), [w])
+    S = Ideal(I.ring, [project(g, I.ring) for g in E.generators])
+    m = 0
+    while not all(I.contains(h ** m * g) for g in S.generators):
+        m += 1
+    return S, m
+
+
+def _tag_intersection(I, J):
+    """I meet J by eliminating t from t*I + (1-t)*J."""
+    big, t = adjoin(I.ring, "t")
+    tag = big.var(big.names[t])
+    E = eliminate(Ideal(big, [tag * inject(g, big) for g in I.generators]
+                        + [(big.one - tag) * inject(g, big) for g in J.generators]), [t])
+    return Ideal(I.ring, [project(g, I.ring) for g in E.generators])
+
+
+def _without_tag(op, *args):
+    """op(*args), failing if it adjoins a tag variable."""
+    with mock.patch("idealdec.ideals._eliminate_tag",
+                    side_effect=AssertionError("a tag variable was adjoined")):
+        return op(*args)
+
+
+_TAG_FREE_RINGS = [PolyRing(("x", "y", "z"), QQ),
+                   PolyRing(("x", "y", "z"), PrimeField(32003))]
+_COEFFS = st.sampled_from([-3, -1, 1, 2, 7])
+
+
+@st.composite
+def _homogeneous_terms(draw, monomial):
+    degree = draw(st.integers(1, 3))
+    size = 1 if monomial else draw(st.integers(1, 3))
+    return draw(st.dictionaries(
+        st.sampled_from([e for e in _MONOMIALS if sum(e) == degree]), _COEFFS,
+        min_size=size, max_size=size))
+
+
+@st.composite
+def _term(draw):
+    """A single term over 1-3 variables, its coefficient not 1."""
+    variables = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+    exps = tuple(draw(st.integers(1, 2)) if i in variables else 0 for i in range(3))
+    return {exps: draw(st.sampled_from([-3, 2, 7]))}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ring=st.sampled_from(_TAG_FREE_RINGS), monomial=st.booleans(), data=st.data())
+def test_homogeneous_saturation_by_a_term_matches_rabinowitsch(ring, monomial, data):
+    gens = data.draw(st.lists(_homogeneous_terms(monomial), min_size=1, max_size=3))
+    I = Ideal(ring, [ring.poly(t) for t in gens])
+    h = ring.poly(data.draw(_term()))
+    got = _without_tag(saturate, I, h)
+    S, m = _rabinowitsch(I, h)
+    assert got.ideal.equals(S)
+    assert got.exponent == m
+
+
+def _assert_minimal_monomials(J):
+    exps = [tuple(g.terms) for g in J.generators]
+    assert all(len(e) == 1 for e in exps)
+    exps = [e for (e,) in exps]
+    assert len(set(exps)) == len(exps)
+    assert not any(a != b and all(map(le, a, b)) for a in exps for b in exps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ring=st.sampled_from(_TAG_FREE_RINGS),
+       a=st.lists(st.sampled_from(_MONOMIALS), min_size=1, max_size=4),
+       b=st.lists(st.sampled_from(_MONOMIALS), min_size=1, max_size=4),
+       coeff=_COEFFS)
+def test_monomial_intersection_matches_elimination(ring, a, b, coeff):
+    I = Ideal(ring, [ring.monomial(e, coeff) for e in a])
+    J = Ideal(ring, [ring.monomial(e) for e in b])
+    got = _without_tag(intersect, I, J)
+    assert got.equals(_tag_intersection(I, J))
+    _assert_minimal_monomials(got)
+
+
+def test_monomial_intersection_with_the_unit_ideal_and_redundant_generators(rxyz):
+    I = _ideal(rxyz, "x^2", "x^2*y", "x^2", "y*z", "2*y*z^2")
+    U = _ideal(rxyz, "x*y", "1", "z")
+    got = _without_tag(intersect, I, U)
+    assert got.equals(_tag_intersection(I, U))
+    assert got.equals(_ideal(rxyz, "x^2", "y*z"))
+    _assert_minimal_monomials(got)
+    got = _without_tag(intersect, I, _ideal(rxyz, "y", "x*y"))
+    assert got.equals(_ideal(rxyz, "x^2*y", "y*z"))
+    _assert_minimal_monomials(got)
+
+
+def test_inhomogeneous_saturation_by_a_variable_eliminates(rxyz):
+    # dividing a basis with y last by y-contents would miss x*z^3 + 1/2*x*y
+    I = _ideal(rxyz, "x^2*z^2 + x*y^2", "x^2*z - 2*x*y*z^2")
+    h = rxyz.parse("y")
+    got = saturate(I, h)
+    S, m = _rabinowitsch(I, h)
+    assert got.ideal.equals(S)
+    assert got.exponent == m == 2
+    assert got.ideal.contains(rxyz.parse("x*z^3 + 1/2*x*y"))
