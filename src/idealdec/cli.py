@@ -12,6 +12,7 @@ emitted).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -161,6 +162,23 @@ def _parse_spec_file(path: str) -> HyperedgeSpec:
         )
     except HyperedgeError as ex:
         raise CliError(f"{path}: {ex}")
+
+
+def _unwritable(out: str) -> Optional[str]:
+    """Why ``out`` cannot be written, or None when it looks writable: its
+    directory exists and is writable, and it is not itself a directory."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+        os.path.exists(out) and not os.access(out, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return None
+    return os.strerror(code)
 
 
 def _emit(sink: Sequence[str], out: Optional[str]) -> None:
@@ -406,6 +424,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--limit must be a positive integer")
     if args.timeout is not None and not 0 < args.timeout < math.inf:
         parser.error("--timeout must be a positive, finite number of seconds")
+    # refused before any work, so a long run cannot end in a lost report
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"idealdec: error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return EXIT_ERROR
 
     sink: List[str] = []
     old_handler = None

@@ -3,9 +3,11 @@
 Every coefficient in the package is either a ``fractions.Fraction`` (over Q)
 or a ``ModInt`` (over GF(p)).  Both support ordinary operator arithmetic, so
 polynomial code never branches on the domain; the domain object itself is
-only consulted for construction, parsing and printing.  The one exception is
-Groebner reduction, which runs on plain ints and reads the domain's
-characteristic (see ``groebner``).  No floating point is used anywhere.
+only consulted for construction and parsing.  The exceptions are printing,
+which reads a ``Fraction``'s numerator and denominator or a ``ModInt``'s
+value (see ``rings.format_poly``), and Groebner reduction, which runs on
+plain ints and reads the domain's characteristic (see ``groebner``).  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -125,14 +127,8 @@ class Rationals:
     """The field Q.  Elements are Fractions in lowest terms."""
 
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -143,15 +139,6 @@ class Rationals:
 
     def from_fraction(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
-
-    def split_sign(self, c: Fraction):
-        """Return (is_negative, magnitude) for display purposes."""
-        return (c < 0, -c if c < 0 else c)
-
-    def coeff_str(self, c: Fraction) -> str:
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"{c.numerator}/{c.denominator}"
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -171,14 +158,8 @@ class PrimeField:
             raise DomainError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-
-    @property
-    def zero(self) -> ModInt:
-        return ModInt(0, self.p)
-
-    @property
-    def one(self) -> ModInt:
-        return ModInt(1, self.p)
+        self.zero = ModInt(0, p)
+        self.one = ModInt(1, p)
 
     def coerce(self, value) -> ModInt:
         if isinstance(value, ModInt):
@@ -195,12 +176,6 @@ class PrimeField:
 
     def from_fraction(self, num: int, den: int) -> ModInt:
         return self.coerce(Fraction(num, den))
-
-    def split_sign(self, c: ModInt):
-        return (False, c)
-
-    def coeff_str(self, c: ModInt) -> str:
-        return str(c.value)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -17,7 +17,8 @@ over K(u) and the cost of contracting the result back.  Ranking prefers
 small d_u, then small coefficient degree, then few coefficient terms.
 ``best_independent_set`` picks the set at which GTZ and the primality check
 localize: the best-ranked of the first ``budget`` minimal hitting sets of
-size n - dim(I), complemented.
+size n - dim(I), complemented.  It scores them by name and stops at a
+proven floor, so it often scores only a few.
 """
 
 from __future__ import annotations
@@ -221,12 +222,47 @@ def best_independent_set(
 ) -> Tuple[int, ...]:
     """The best-ranked maximal independent set of size ``dim`` (the Krull
     dimension of I, at least 1) among the first ``budget`` enumerated
-    candidates of that size (all of them when ``budget`` is None)."""
-    nvars = I.ring.nvars
+    candidates of that size (all of them when ``budget`` is None).
+
+    The candidates are scored in the order of their variable names, and the
+    scan stops at the first whose (d, lcdeg, lcterms) reaches a floor that no
+    candidate can go below, so it returns what the full ranking ranks first.
+    The floor is (1, 0, 1), since d >= 1 and lcterms >= 1, or (1, 1, 1) when
+    some element g of I's reduced degrevlex basis has degree >= 2 and is
+    x*g' for a variable x.  Then neither x nor g' lies in I, since their
+    leading monomials divide g's and the reduced basis is minimal, so I is
+    not prime.  But d = 1 and lcdeg = 0 would make I prime: I K(u) is then
+    maximal, and with constant leading coefficients I is the contraction of
+    I K(u) to K[X] (Greuel-Pfister, Prop. 4.3.1 with h = 1).  Among the
+    candidates at the floor the first by name wins, as in the ranking's
+    tie-break.
+    """
+    G = I.groebner()
+    names = I.ring.names
+    nvars = len(names)
     hitters = (
-        h for h in minimal_hitting_sets(minimal_supports(I.groebner().lead_exps()))
+        h for h in minimal_hitting_sets(minimal_supports(G.lead_exps()))
         if len(h) == nvars - dim
     )
     everything = frozenset(range(nvars))
-    candidates = [tuple(sorted(everything - h)) for h in islice(hitters, budget)]
-    return rank_independent_sets(I, candidates).best().u
+    candidates = sorted(
+        (tuple(sorted(everything - h)) for h in islice(hitters, budget)),
+        key=lambda u: [names[i] for i in u],
+    )
+    floor = (1, 1, 1) if _splits_off_a_variable(G) else (1, 0, 1)
+    reports = []
+    for u in candidates:
+        r = score_independent_set(I, u)
+        reports.append(r)
+        if (r.d, r.lc_degree, r.lc_terms) <= floor:
+            break
+    return min(reports, key=IndepSetReport.sort_key).u
+
+
+def _splits_off_a_variable(G: GroebnerBasis) -> bool:
+    """True when some basis element of degree >= 2 is a variable times a
+    polynomial, that is, one variable divides all of its terms."""
+    return any(
+        g.total_degree() >= 2 and any(map(min, zip(*g.terms)))
+        for g in G.elements
+    )

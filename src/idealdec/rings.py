@@ -10,6 +10,13 @@ small term grammar::
     factor := name [ "^" exponent ]
     coeff  := int [ "/" int ]
 
+Text is scanned one term at a time: each term, with its sign and the
+whitespace around it, is one match of a compiled regular expression, and
+its factors are read by one ``findall``.  Whitespace may separate any two
+tokens, a sign is required before every term but the first, and any text
+outside the grammar raises ``ParseError`` (a ``*`` followed by a sign
+included).
+
 Terms are printed in descending lexicographic order of exponent tuples with
 respect to the declared variable order, so ``str`` output is canonical and
 ``ring.parse(str(f)) == f`` always holds.
@@ -18,14 +25,26 @@ respect to the declared variable order, so ``str`` output is canonical and
 from __future__ import annotations
 
 import re
+from itertools import compress
+from operator import getitem
 from typing import Dict, Sequence, Tuple
 
 from .domains import DomainError, QQ, PrimeField, Rationals
 
 Exponents = Tuple[int, ...]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_FACTOR = rf"{_NAME}(?:\s*\^\s*\d+)?"
+_FACTORS = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+# one term: sign, numerator, denominator, factors after a coefficient, or
+# factors alone; surrounding whitespace included.  No two whitespace runs
+# meet without a token between them, so a failed match backtracks in
+# linear time.
+_TERM_RE = re.compile(
+    rf"\s*(?:([-+])\s*)?(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*({_FACTORS}))?|({_FACTORS}))\s*"
+)
+_FACTOR_RE = re.compile(rf"({_NAME})(?:\s*\^\s*(\d+))?")
 
 
 class ParseError(ValueError):
@@ -39,7 +58,7 @@ class RingError(ValueError):
 class PolyRing:
     """A polynomial ring K[x_1, ..., x_n] with named, ordered variables."""
 
-    __slots__ = ("names", "domain", "_index", "_hash")
+    __slots__ = ("names", "domain", "_index", "_hash", "_powers")
 
     def __init__(self, names: Sequence[str], domain=QQ):
         names = tuple(names)
@@ -56,6 +75,7 @@ class PolyRing:
         self.domain = domain
         self._index = {n: i for i, n in enumerate(names)}
         self._hash = hash((names, domain))
+        self._powers = None  # per-variable factor strings, made by format_poly
 
     @property
     def nvars(self) -> int:
@@ -405,128 +425,95 @@ def format_poly(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     ring = f.ring
-    dom = ring.domain
-    pieces = []
-    for exps, coeff in sorted(f.terms.items(), reverse=True):
-        neg, mag = dom.split_sign(coeff)
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(ring.names[i])
-            elif e:
-                factors.append(f"{ring.names[i]}^{e}")
-        if not factors:
-            body = dom.coeff_str(mag)
-        elif mag == dom.one:
-            body = "*".join(factors)
+    powers = ring._powers
+    if powers is None:
+        powers = ring._powers = tuple(_Powers(name) for name in ring.names)
+    rational = isinstance(ring.domain, Rationals)
+    out = []
+    for exps, c in sorted(f.terms.items(), reverse=True):
+        if rational:
+            num, den = c.numerator, c.denominator
         else:
-            body = dom.coeff_str(mag) + "*" + "*".join(factors)
-        pieces.append(("-" if neg else "+", body))
-    sign0, body0 = pieces[0]
-    out = [body0 if sign0 == "+" else "-" + body0]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
+            num, den = c.value, 1
+        if num < 0:
+            out.append(" - ")
+            num = -num
+        else:
+            out.append(" + ")
+        monomial = "*".join(map(getitem, compress(powers, exps), filter(None, exps)))
+        if den != 1:
+            coeff = f"{num}/{den}"
+        elif num != 1 or not monomial:
+            coeff = str(num)
+        else:
+            out.append(monomial)
+            continue
+        out.append(f"{coeff}*{monomial}" if monomial else coeff)
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if not m.group(0).strip():
-            pos = m.end()
-            continue
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-    return tokens
+class _Powers(dict):
+    """The printed factors of one variable, keyed by a positive exponent.
+    A ring keeps one per variable; past 64 exponents a factor is built each
+    time and not kept."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = f"{self.name}^{e}"
+        if len(self) < 64:
+            self[e] = text
+        return text
 
 
 def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    terms: Dict[Exponents, object] = {}
-    pos = 0
-    n = len(tokens)
+    """Scan ``text`` one term at a time: each term is one match of
+    ``_TERM_RE``, and its factors are read by one ``findall``."""
     dom = ring.domain
-    first = True
-    while pos < n:
-        sign = 1
-        kind, val = tokens[pos]
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            pos += 1
-        elif not first:
-            raise ParseError(f"expected + or - before {val!r}")
-        first = False
-        if pos >= n:
-            raise ParseError("dangling sign")
-        # optional coefficient
-        coeff = dom.one
-        saw_coeff = False
-        kind, val = tokens[pos]
-        if kind == "int":
-            num = int(val)
-            den = 1
-            pos += 1
-            if pos < n and tokens[pos] == ("op", "/"):
-                pos += 1
-                if pos >= n or tokens[pos][0] != "int":
-                    raise ParseError("expected integer denominator")
-                den = int(tokens[pos][1])
-                if den == 0:
+    index = ring._index
+    nvars = ring.nvars
+    one = dom.one
+    minus_one = -one
+    terms: Dict[Exponents, object] = {}
+    pos, end = 0, len(text)
+    if not text.strip():
+        raise ParseError("empty polynomial text")
+    while pos < end:
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise ParseError(_scan_error(text, pos))
+        sign, num, den, factors, bare = m.groups()
+        if pos and not sign:
+            raise ParseError(f"expected + or - before {text[pos:m.end()].strip()!r}")
+        pos = m.end()
+        if num is None:
+            c = minus_one if sign == "-" else one
+        else:
+            n = -int(num) if sign == "-" else int(num)
+            if den is None:
+                c = dom.coerce(n)
+            else:
+                d = int(den)
+                if d == 0:
                     raise ParseError("zero denominator")
-                pos += 1
-            coeff = dom.from_fraction(num, den)
-            saw_coeff = True
-        exps = [0] * ring.nvars
-        saw_factor = False
-        while pos < n:
-            kind, val = tokens[pos]
-            if saw_coeff or saw_factor:
-                if kind == "op" and val == "*":
-                    pos += 1
-                    if pos >= n:
-                        raise ParseError("dangling *")
-                    kind, val = tokens[pos]
-                else:
-                    break
-            if kind != "name":
-                if saw_coeff and not saw_factor:
-                    raise ParseError(f"expected variable after *, got {val!r}")
-                break
-            try:
-                idx = ring.index(val)
-            except RingError:
-                raise ParseError(f"unknown variable {val!r}") from None
-            pos += 1
-            e = 1
-            if pos < n and tokens[pos] == ("op", "^"):
-                pos += 1
-                if pos >= n or tokens[pos][0] != "int":
-                    raise ParseError("expected integer exponent")
-                e = int(tokens[pos][1])
-                pos += 1
-            exps[idx] += e
-            saw_factor = True
-        if not saw_coeff and not saw_factor:
-            raise ParseError(f"expected term at {tokens[pos][1]!r}")
+                c = dom.from_fraction(n, d)
+        exps = [0] * nvars
+        for name, e in _FACTOR_RE.findall(factors or bare or ""):
+            i = index.get(name)
+            if i is None:
+                raise ParseError(f"unknown variable {name!r}")
+            exps[i] += int(e) if e else 1
+        if num is not None and not c:
+            continue
         key = tuple(exps)
-        c = coeff if sign > 0 else -coeff
         s = terms.get(key)
         if s is None:
-            if c:
-                terms[key] = c
+            terms[key] = c
         else:
             s = s + c
             if s:
@@ -534,6 +521,15 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
             else:
                 del terms[key]
     return Polynomial(ring, terms)
+
+
+def _scan_error(text: str, pos: int) -> str:
+    """The message for a position where no term starts."""
+    rest = text[pos:].lstrip()
+    column = len(text) - len(rest) + 1
+    if rest[0] in "+-":
+        return f"expected a term after {rest[0]!r} at column {column}"
+    return f"unexpected {rest[0]!r} at column {column}"
 
 
 # -- ring headers and extensions ------------------------------------------

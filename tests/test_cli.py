@@ -4,6 +4,7 @@ import signal
 
 import pytest
 
+from idealdec import cli
 from idealdec.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -682,6 +683,23 @@ def test_unwritable_out_is_reported(capsys, gens_file, tmp_path, timeout):
         assert code == EXIT_ERROR and out == ""
         assert err.startswith(f"idealdec: error: cannot write {target}: ")
         assert "Traceback" not in err
+
+
+def test_unwritable_out_is_refused_before_any_work(capsys, gens_file, tmp_path,
+                                                  monkeypatch):
+    def must_not_run(args, sink):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._DISPATCH, "decompose", must_not_run)
+    missing = tmp_path / "missing" / "out.txt"
+    for target, reason in ((missing, "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "decompose", gens_file(XYXZ),
+                             "--out", str(target), "--timeout", "60")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"idealdec: error: cannot write {target}: {reason}\n"
+    assert not missing.parent.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.gens"]
 
 
 def test_headerless_input_file(capsys, gens_file):
