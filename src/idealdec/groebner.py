@@ -17,12 +17,15 @@ kept only if no smaller new lcm divides theirs (criteria M and F) and are
 then dropped when coprime, and elements whose leading monomial LM(h)
 divides form no further pairs, though they still reduce.  The lcm of
 LM(h) with each element still forming pairs is computed once per
-insertion, inline, and both criteria read it; criterion B visits only the
-queued pairs whose lcm LM(h) divides, and computes the lcm with an element
-no longer forming pairs when such a pair needs it.  When every
-input is a monomial, every S-polynomial is zero and there is no tail to
-reduce, so no pair is formed: the minimal generators, made monic, are the
-reduced basis.  Reduced bases over a field are unique for a fixed order,
+insertion, inline, and both criteria read it; the same loop finds the
+elements LM(h) divides, those whose lcm with it is their own leading
+monomial.  Criterion B visits only the queued pairs whose lcm LM(h)
+divides, and computes the lcm with an element no longer forming pairs at
+most once per insertion.  Criteria M and F take the new pairs sorted as
+single ints that encode (lcm degree, shares a variable, index).  When
+every input is a monomial, every S-polynomial is zero and there is no tail
+to reduce, so no pair is formed: the minimal generators, made monic, are
+the reduced basis.  Reduced bases over a field are unique for a fixed order,
 which the test-suite exploits heavily.
 
 Inside the kernel a monomial is one packed int, ``C = K << n*W | M``, in
@@ -47,11 +50,20 @@ total degree, so while the degree stays below 2^(W-1):
 The layout of M is chosen per order so that K follows from M with a mask
 and one product per degrevlex block (the product by 1 + 2^W + 2^2W + ...
 makes prefix sums), so the key of an lcm costs a few int operations and is
-built only for pairs that criteria M and F keep.  W starts from the
-largest input degree; a new monomial whose degree reaches the guard bit
-raises ``_Overflow``, and the computation starts again at twice the width
-(``_widening``), so the width never limits the input.  One packing is
-cached per (order, number of variables, width).
+built only for pairs that criteria M and F keep.  A leading monomial
+restricted to some of the variables is M masked to their fields, with its
+degree summed again (``restrict``).
+
+W is a whole number of bytes, 8, 16, 32 or 64, the least whose W - 1 value
+bits hold twice the largest input degree.  A new monomial whose degree
+reaches the guard bit raises ``_Overflow``, and the computation starts
+again at twice the width (``_widening``).  Past 64 bits, for a degree of
+2^62 in the input or 2^63 in the computation, it raises ``GroebnerError``.
+Whole-byte fields make ``unpack`` one pass in C: ``int.to_bytes`` in the
+machine's byte order, a ``memoryview`` cast to W-bit items (at W = 8 the
+bytes themselves), and one ``itemgetter`` of the exponent fields' items:
+field f is item f little-endian and item 2n - f big-endian.  One packing
+is cached per (order, number of variables, width).
 
 Reduction runs on plain ``int`` coefficients, fraction-free, in both
 fields.  Each basis element is held as an integer entry (packed leading
@@ -89,12 +101,13 @@ Normal forms exist for plain bases only; a localized basis raises
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, islice
+from functools import lru_cache, reduce
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter, le, mul
+from operator import and_, itemgetter, le, mul, or_, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domains import ModInt
@@ -120,11 +133,17 @@ def _divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
+# The field widths, whole bytes, and the memoryview format that reads a
+# field of each as one native item; 8-bit fields are the bytes themselves.
+_CASTS = {8: None, 16: "H", 32: "I", 64: "Q"}
+
+
 class _Packing:
     """Packed monomials of one order on n variables at field width W."""
 
     __slots__ = ("width", "field", "overflow", "guards", "exps", "mpart",
-                 "kshift", "lexrows", "blocks", "shifts", "units")
+                 "kshift", "lexrows", "blocks", "shifts", "units", "nbytes",
+                 "cast", "fields")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         w = self.width = width
@@ -158,6 +177,16 @@ class _Packing:
         self.blocks = tuple(blocks)
         self.shifts = tuple(f * w for f in pos)
         self.units = tuple(self.from_m(1 | 1 << s) for s in self.shifts)
+        # unpack reads the 2n + 1 fields of a packed int as the items of its
+        # bytes in the machine's byte order, cast to W-bit items: field f is
+        # item f little-endian, item 2n - f big-endian
+        self.nbytes = (2 * nvars + 1) * w // 8
+        self.cast = _CASTS[w]
+        if sys.byteorder == "big":
+            pos = [2 * nvars - f for f in pos]
+        get = itemgetter(*pos)
+        # an itemgetter of one position returns the item, not a tuple
+        self.fields = get if nvars > 1 else lambda items: (get(items),)
 
     def from_m(self, m: int) -> int:
         """The packed monomial whose M part is m."""
@@ -171,8 +200,19 @@ class _Packing:
         return sum(map(mul, e, self.units))
 
     def unpack(self, c: int) -> Exponents:
-        field = self.field
-        return tuple(c >> s & field for s in self.shifts)
+        """The exponents of the packed monomial c, read from its bytes."""
+        raw = c.to_bytes(self.nbytes, sys.byteorder)
+        return self.fields(memoryview(raw).cast(self.cast) if self.cast else raw)
+
+    def mask(self, variables: Iterable[int]) -> int:
+        """The exponent fields of ``variables`` in M."""
+        return sum(self.field << self.shifts[v] for v in variables)
+
+    def restrict(self, c: int, mask: int) -> int:
+        """The packed monomial of c with the exponents outside the fields of
+        ``mask`` set to zero: M masked, its degree summed again."""
+        m = c & mask
+        return self.from_m(m | m % self.field)
 
     def lcm(self, a: int, b: int) -> int:
         """The M part of lcm(a, b), from packed monomials or their M parts."""
@@ -191,20 +231,22 @@ _packing = lru_cache(maxsize=256)(_Packing)
 
 
 def _width(monomials: Iterable[Exponents]) -> int:
-    """The first field width: its W - 1 value bits hold twice the largest
-    degree of ``monomials``, and at least 7 bits."""
-    return max(8, max(map(sum, monomials), default=0).bit_length() + 2)
+    """The first field width: the least of 8, 16, 32 and 64 bits whose W - 1
+    value bits hold twice the largest degree of ``monomials``."""
+    bits = max(map(sum, monomials), default=0).bit_length() + 2
+    return max(8, 1 << (bits - 1).bit_length())
 
 
 def _widening(order: MonomialOrder, nvars: int, width: int,
               run: Callable[[_Packing], object]):
     """run(packing) at ``width``, or at twice the width each time a new
-    monomial overflows its fields."""
-    while True:
+    monomial overflows its fields; GroebnerError past 64-bit fields."""
+    while width in _CASTS:
         try:
             return run(_packing(order, nvars, width))
         except _Overflow:
             width *= 2
+    raise GroebnerError("a degree of 2^62 or more: past 64-bit exponent fields")
 
 
 # A basis entry is (lead, a, tail): the packed leading monomial and the
@@ -308,8 +350,7 @@ def spolynomial(f, g, order=None):
     for e, c in tg:
         e += shift
         s[e] = s.get(e, 0) - cg * c
-    overflow = order.overflow
-    if any(e & overflow for e in s):
+    if reduce(or_, s, 0) & order.overflow:
         raise _Overflow
     return s
 
@@ -599,13 +640,17 @@ def _interreduce(entries: List[Entry], packing: _Packing, p: int) -> None:
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
 
 
-def _minimal(entries: Sequence[Entry], guards: int) -> List[Entry]:
-    """The entries whose leading monomial no other entry's divides, by
-    ascending leading monomial; of equal leading monomials the first."""
-    kept: List[Entry] = []
-    for entry in sorted(entries, key=itemgetter(0)):
-        if all((entry[0] - k[0]) & guards for k in kept):
-            kept.append(entry)
+def _minimal(items: Sequence[tuple], guards: int) -> List[tuple]:
+    """The items, entries among them, whose first member, a packed
+    monomial, no other item's divides, by ascending first member; of equal
+    first members the earliest."""
+    kept: List[tuple] = []
+    leads: List[int] = []
+    for item in sorted(items, key=itemgetter(0)):
+        e = item[0]
+        if all(map(and_, map(sub, repeat(e), leads), repeat(guards))):
+            leads.append(e)
+            kept.append(item)
     return kept
 
 
@@ -639,10 +684,14 @@ def _reduced_entries(
         j = len(entries)
         entries.append(entry)
         lead_m.append(lm)
-        # lcm(i, j) for every live i, computed once as in _Packing.lcm, and
-        # the new pairs for criteria M and F
+        # lcm(i, j) for every live i, computed once as in _Packing.lcm; the
+        # new pairs for criteria M and F as int keys that sort by degree,
+        # then coprime first, then i; and the live i whose leading monomial
+        # lm does not divide, as their lcm with lm is not that monomial
+        bits = j.bit_length()
         lcms: Dict[int, int] = {}
-        new = []
+        new: List[int] = []
+        still: List[int] = []
         for i in live:
             a = lead_m[i]
             t = ((a | guards) - lm) & guards
@@ -652,32 +701,49 @@ def _reduced_entries(
                 raise _Overflow
             m |= d
             lcms[i] = m
-            new.append((d, d != degree + (a & field), i, m))
+            new.append((d << 1 | (d != degree + (a & field))) << bits | i)
+            if m != a:
+                still.append(i)
         # criterion B: lm divides lcm(i, k), but neither lcm(i, j) nor
         # lcm(k, j) equals it, so (i, j) and (k, j) cover the pair; the lcm
-        # with an element no longer live is made here (a zero lcm, of two
-        # constants, is merely made again)
-        for (i, k), m in [(ik, m) for ik, m in pairs.items()
-                          if not (m - lm) & guards]:
-            if ((lcms.get(i) or lcm_of(lead_m[i], lm)) != m
-                    and (lcms.get(k) or lcm_of(lead_m[k], lm)) != m):
-                del pairs[i, k]
-        # criteria M and F: by ascending degree, coprime pairs first, keep
-        # a new pair only if no kept lcm divides its lcm; then drop the
-        # coprime pairs, whose S-polynomials reduce to zero
+        # with an element no longer live is made here, once, and the pairs
+        # are deleted after the scan, which must not resize the dict
+        dead = []
+        for ik, m in pairs.items():
+            if (m - lm) & guards:
+                continue
+            i, k = ik
+            mi = lcms.get(i)
+            if mi is None:
+                mi = lcms[i] = lcm_of(lead_m[i], lm)
+            if mi == m:
+                continue
+            mk = lcms.get(k)
+            if mk is None:
+                mk = lcms[k] = lcm_of(lead_m[k], lm)
+            if mk != m:
+                dead.append(ik)
+        for ik in dead:
+            del pairs[ik]
+        # criteria M and F: in key order, keep a new pair only if no kept
+        # lcm divides its lcm; then drop the coprime pairs, whose
+        # S-polynomials reduce to zero
         new.sort()
+        low = (1 << bits) - 1
         kept: List[int] = []
-        for _, shared, i, m in new:
+        for key in new:
+            i = key & low
+            m = lcms[i]
             for k in kept:
                 if not (m - k) & guards:
                     break
             else:
                 kept.append(m)
-                if shared:
+                if key >> bits & 1:
                     pairs[i, j] = m
                     heapq.heappush(heap, (packing.from_m(m), i, j))
-        live[:] = [i for i in live if (lead_m[i] - lm) & guards]
-        live.append(j)
+        still.append(j)
+        live[:] = still
 
     for entry in inputs:
         add_poly(entry)
@@ -742,18 +808,11 @@ def buchberger(
 
     # localized minimalisation: keep elements whose leading monomial
     # restricted to the rest block is not divisible by a kept one, taken by
-    # ascending restricted, then full, leading monomial
-    guards, pack, unpack = packing.guards, packing.pack, packing.unpack
-    ranked = sorted(
-        (pack(tuple(0 if i in loc else e for i, e in enumerate(unpack(entry[0])))),
-         entry[0], entry)
-        for entry in entries)
-    kept_projs: List[int] = []
-    chosen: List[Entry] = []
-    for proj, _, entry in ranked:
-        if all((proj - kp) & guards for kp in kept_projs):
-            kept_projs.append(proj)
-            chosen.append(entry)
+    # ascending restricted, then full, leading monomial (the entries come by
+    # ascending leading monomial)
+    restrict, mask = packing.restrict, packing.mask(rest)
+    chosen = [entry for _, entry in _minimal(
+        [(restrict(entry[0], mask), entry) for entry in entries], packing.guards)]
     return GroebnerBasis(ring, order, comp_order, chosen, loc, packing)
 
 

@@ -1,17 +1,30 @@
 """Buchberger: reduced bases, normal forms, localized bases, sympy oracle,
-input checks and exact S-polynomial counts."""
+input checks, exact S-polynomial counts, and the packed monomials' field
+widths: reading fields back, masking, widening, and refusing degrees past
+64-bit fields."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealdec import cli
 from idealdec.groebner import (
     GroebnerError,
     NotZeroDimensional,
+    _packing,
     buchberger,
     is_groebner_basis,
     spolynomial,
 )
 from idealdec.domains import QQ, PrimeField
-from idealdec.orders import DEGREVLEX, OrderError, block_order, degrevlex_order, lex_order
+from idealdec.orders import (
+    DEGREVLEX,
+    LEX,
+    OrderError,
+    block_order,
+    degrevlex_order,
+    lex_order,
+)
 from idealdec.rings import PolyRing, RingError
 
 from test_decompose import _path_edge_ideal
@@ -270,3 +283,132 @@ def test_katsura5_basis_equals_the_sympy_reference():
     ring, reference = read_generators(str(path))
     G = buchberger([ring.parse(t) for t in KATSURA5], degrevlex_order())
     assert sorted(map(str, G.elements)) == sorted(map(str, reference))
+
+
+# -- field widths --------------------------------------------------------------
+
+
+@st.composite
+def _packed_exponents(draw):
+    """An order on 1-40 variables (lex, degrevlex, or blocks of both kinds),
+    a field width, exponents of degree below the width's limit 2^(W-1), and
+    a set of variables to keep."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    kind = draw(st.sampled_from(["lex", "degrevlex", "blocks"]))
+    if kind == "lex":
+        order = lex_order()
+    elif kind == "degrevlex":
+        order = degrevlex_order()
+    else:
+        perm = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        order = block_order(
+            (tuple(perm[lo:hi]), draw(st.sampled_from([LEX, DEGREVLEX])))
+            for lo, hi in zip(bounds, bounds[1:]))
+    # the exponents are the gaps between sorted cuts below the limit, so the
+    # degree reaches up to the limit less one
+    cuts = sorted(draw(st.lists(st.integers(0, (1 << (width - 1)) - 1),
+                                min_size=n, max_size=n)))
+    exps = draw(st.permutations([hi - lo for lo, hi in zip([0, *cuts], cuts)]))
+    keep = draw(st.sets(st.integers(0, n - 1)))
+    return order, n, width, tuple(exps), keep
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_packed_exponents())
+def test_unpack_reads_back_pack_and_masking_zeroes_the_rest(case):
+    order, n, width, exps, keep = case
+    packing = _packing(order, n, width)
+    packed = packing.pack(exps)
+    assert packing.unpack(packed) == exps
+    zeroed = tuple(e if i in keep else 0 for i, e in enumerate(exps))
+    assert packing.restrict(packed, packing.mask(keep)) == packing.pack(zeroed)
+    assert packing.unpack(packing.restrict(packed, packing.mask(keep))) == zeroed
+
+
+def _basis_and_widths(monkeypatch, names, texts, order):
+    """The basis of ``texts`` in Q[names] and the field widths the
+    computation ran at."""
+    import idealdec.groebner as groebner
+
+    real, widths = groebner._packing, []
+
+    def recorded(order, nvars, width):
+        widths.append(width)
+        return real(order, nvars, width)
+
+    monkeypatch.setattr(groebner, "_packing", recorded)
+    ring = PolyRing(names, QQ)
+    G = buchberger([ring.parse(t) for t in texts], order)
+    return [str(g) for g in G.elements], widths
+
+
+# Each lex basis holds a degree past the limit of the fields chosen for its
+# inputs, so the run restarts at twice the width.  The bases are golden:
+# those computed before the first width was rounded up to whole bytes.
+@pytest.mark.parametrize("names, texts, widths, basis", [
+    (("x", "y", "z"), ["x - y^63", "x^4 - z"], [8, 16],
+     ["y^252 - z", "x - y^63"]),
+    (("x", "y", "z"), ["x - y^16383", "x^4 - z"], [16, 32],
+     ["y^65532 - z", "x - y^16383"]),
+    (("x", "y", "z"), ["x - y^1073741823", "x^4 - z"], [32, 64],
+     ["y^4294967292 - z", "x - y^1073741823"]),
+    (("x", "y"), ["x^100*y - 1", "y^400 - x"], [16, 32],
+     ["y^40001 - 1", "x - y^400"]),
+], ids=["8-16", "16-32", "32-64", "x^100*y-1"])
+def test_widening_restarts_at_twice_the_width_and_keeps_the_basis(
+        monkeypatch, names, texts, widths, basis):
+    ours, seen = _basis_and_widths(monkeypatch, names, texts, lex_order())
+    assert sorted(set(seen)) == widths
+    assert ours == basis
+
+
+@pytest.mark.parametrize("order, basis", [
+    (lex_order(), ["y^403 - 1", "x^100 - y^402"]),
+    (degrevlex_order(), ["x^100*y - 1", "-x^300 + y^400", "x^400 - y^399"]),
+], ids=["lex", "degrevlex"])
+def test_high_degree_inputs_keep_their_bases(monkeypatch, order, basis):
+    # degree 40000 takes 32-bit fields from the start
+    ours, seen = _basis_and_widths(
+        monkeypatch, ("x", "y"), ["x^100*y - 1", "x^40000 - y^3"], order)
+    assert set(seen) == {32}
+    assert ours == basis
+
+
+# x^(2^62) - y: the input's degree needs fields past 64 bits; x - y^(2^61)
+# and x^4 - z: the basis element y^(2^63) - z overflows the 64-bit fields
+_TOO_WIDE = [
+    ("x,y,z", [f"x^{2 ** 62} - y"]),
+    ("x,y,z", [f"x - y^{2 ** 61}", "x^4 - z"]),
+]
+
+
+@pytest.mark.parametrize("names, texts", _TOO_WIDE, ids=["input", "widened"])
+def test_degrees_past_64_bit_fields_are_refused(names, texts):
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(tuple(names.split(",")), field)
+        polys = [ring.parse(t) for t in texts]
+        with pytest.raises(GroebnerError, match="64-bit"):
+            buchberger(polys, lex_order())
+
+
+def test_normal_forms_past_64_bit_fields_are_refused():
+    ring = PolyRing(("x", "y"), QQ)
+    G = buchberger([ring.parse(f"x - y^{2 ** 61}")], lex_order())
+    assert G.normal_form(ring.parse("x^3")) == ring.parse(f"y^{3 * 2 ** 61}")
+    with pytest.raises(GroebnerError, match="64-bit"):
+        G.normal_form(ring.parse("x^4"))
+
+
+@pytest.mark.parametrize("names, texts", _TOO_WIDE, ids=["input", "widened"])
+def test_cli_refuses_degrees_past_64_bit_fields_with_exit_1(capsys, tmp_path,
+                                                            names, texts):
+    path = tmp_path / "wide.gens"
+    path.write_text(f"ring Q[{names}]\n" + "\n".join(texts) + "\n")
+    code = cli.main(["groebner", str(path), "--order", "lex"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ERROR
+    assert captured.err.startswith("idealdec: error:") and "64-bit" in captured.err
+    assert "Traceback" not in captured.err
