@@ -61,7 +61,6 @@ from .ideals import (
     saturation_exponent,
 )
 from .indepsets import best_independent_set
-from .orders import degrevlex_order
 from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
 from .rings import Polynomial, adjoin, inject, project
 from .symmetry import SymmetryAction, UnionFind
@@ -348,10 +347,9 @@ def zero_dim_decompose(
     """
     _require_rationals(I, "zero-dimensional decomposition")
     u = tuple(sorted(set(u)))
-    lv = u or None
     if _depth > 64:
         raise DecompositionIncomplete("zero-dimensional split depth exceeded")
-    gb = I.groebner(degrevlex_order(), localized_vars=lv)
+    gb = I.groebner(localized_vars=u)
     if not I.generators or gb.is_trivial():
         return []
     D = gb.vector_space_dimension()  # raises NotZeroDimensional if infinite
@@ -435,8 +433,7 @@ def is_maximal_zero_dim(
     """
     _require_rationals(I, "the maximality certificate")
     u = tuple(sorted(set(u)))
-    lv = u or None
-    gb = I.groebner(degrevlex_order(), localized_vars=lv)
+    gb = I.groebner(localized_vars=u)
     if not I.generators:
         return MaximalityResult(NOT_MAXIMAL, obligation="zero ideal")
     if gb.is_trivial():
@@ -714,9 +711,9 @@ def primality_check(
     localized basis; both halves are checked, the latter once per symmetry
     orbit of the coefficients.  ``u`` overrides the ranked choice of
     independent set (it must be independent of full cardinality, e.g. one
-    preserved by the symmetries); ``budget`` caps how many candidate sets of
-    size dim the ranked choice may rank.  The zero ideal is PRIME and the unit
-    ideal NOT_PRIME, each with a one-line detail.
+    preserved by the symmetries, else IdealError); ``budget`` caps how many
+    candidate sets of size dim the ranked choice may rank.  The zero ideal is
+    PRIME and the unit ideal NOT_PRIME, each with a one-line detail.
     """
     _require_rationals(I, "the primality check")
     details: List[str] = []
@@ -729,6 +726,8 @@ def primality_check(
         u = tuple(sorted(set(u)))
         if len(u) != dim:
             raise IdealError("u must have cardinality dim(I)")
+        if I.groebner(localized_vars=u).is_trivial():
+            raise IdealError("u is not an independent set for I")
     elif dim == 0:
         u = ()
     else:

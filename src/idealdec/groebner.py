@@ -492,11 +492,8 @@ class GroebnerBasis:
     @property
     def rest_vars(self) -> Tuple[int, ...]:
         """The ordered non-localized variable positions (all, if plain)."""
-        if self.localized_vars is None:
-            return tuple(range(self.ring.nvars))
-        return tuple(
-            i for i in range(self.ring.nvars) if i not in self.localized_vars
-        )
+        loc = self.localized_vars or ()
+        return tuple(i for i in range(self.ring.nvars) if i not in loc)
 
     def lead_exps(self) -> List[Exponents]:
         return list(self._leads)
@@ -509,22 +506,24 @@ class GroebnerBasis:
     def leading_coefficients(self) -> Tuple[Polynomial, ...]:
         """Per element, the K[u]-coefficient of its localized leading monomial.
 
-        For a plain basis these are all 1 (elements are monic).
+        For a plain basis these are all 1 (elements are monic); a localized
+        one reads its entries: of each, the terms whose rest fields equal the
+        lead's, masked to u's fields and divided by a.
         """
         if self.localized_vars is None:
             return (self.ring.one,) * len(self)
-        rest = self.rest_vars
+        if not self._entries:  # the zero ideal: no packing
+            return ()
+        packing, ring = self._packing, self.ring
+        rest, keep = packing.mask(self.rest_vars), packing.mask(self.localized_vars)
+        p = ring.domain.characteristic
         out = []
-        for g, lm in zip(self.elements, self.lead_exps()):
-            proj = tuple(lm[i] for i in rest)
-            coeff_terms = {}
-            for exps, c in g.terms.items():
-                if tuple(exps[i] for i in rest) == proj:
-                    coeff_terms[
-                        tuple(e if i in self.localized_vars else 0
-                              for i, e in enumerate(exps))
-                    ] = c
-            out.append(Polynomial(self.ring, coeff_terms))
+        for lead, a, tail in self._entries:
+            own = lead & rest
+            terms = _field_terms(((e & keep, c) for e, c in tail if e & rest == own),
+                                 a, p, packing)
+            terms[packing.unpack(lead & keep)] = ring.domain.one
+            out.append(Polynomial(ring, terms))
         return tuple(out)
 
     # -- membership ----------------------------------------------------------
@@ -568,11 +567,9 @@ class GroebnerBasis:
     def vector_space_dimension(self) -> int:
         """dim_K of the quotient (localized: dim over K(u)); raises
         NotZeroDimensional when infinite."""
-        projs = self.localized_lead_exps()
-        if any(all(e == 0 for e in p) for p in projs):
+        if self.is_trivial():
             return 0
-        nrel = len(self.rest_vars)
-        return _staircase_count(projs, nrel)
+        return _staircase_count(self.localized_lead_exps(), len(self.rest_vars))
 
     def __len__(self):
         return len(self._entries)

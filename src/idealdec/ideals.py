@@ -18,7 +18,7 @@ need no tag:
 * eliminate(I, V):  block order with V in front; only the basis elements
   whose leading monomial is free of V are built as polynomials;
 * contract(I, u):   chained saturations of I by the K[u]-leading
-  coefficients of a minimal localized basis (saturation_coefficients),
+  coefficients of I's minimal localized basis (saturation_coefficients),
   smallest first -- this turns the extension ideal I K(u)[X-u] back into
   its contraction in K[X];
 * dimension(I):     n minus the size of a minimum hitting set of the
@@ -30,9 +30,10 @@ adjoined last by rings.adjoin and removed by eliminate, the only code that
 builds an elimination order: the tag's block in front of degrevlex on the
 ring.  So every saturation that needs a tag, from decomposition or from
 contraction, runs under that one order; a tag-free one runs under
-degrevlex with its variable moved last.  The localized basis that yields
-the contraction's coefficients is lex.  Saturations are not cached: each
-call computes its bases afresh.
+degrevlex with its variable moved last.  The contraction's coefficients
+come from the cached degrevlex basis localized at u, as the ranking's do
+(Greuel-Pfister, Prop. 4.3.1: any block order with u last will do).
+Saturations are not cached: each call computes its bases afresh.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import le
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import Exponents, GroebnerBasis, buchberger
-from .orders import DEGREVLEX, MonomialOrder, block_order, degrevlex_order, lex_order
+from .orders import DEGREVLEX, MonomialOrder, block_order, degrevlex_order
 from .polygcd import exact_divide, normalize_assoc
 from .rings import Polynomial, PolyRing, RingError, adjoin, inject, project
 
@@ -89,8 +90,7 @@ class Ideal:
         got = self._gb_cache.get(cache_key)
         if got is None:
             if not self.generators:
-                comp = order
-                got = GroebnerBasis(self.ring, order, comp, (), loc)
+                got = GroebnerBasis(self.ring, order, order, (), loc)
             else:
                 got = buchberger(self.generators, order, loc)
             self._gb_cache[cache_key] = got
@@ -312,27 +312,23 @@ def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
 def sort_saturation_coefficients(
     cs: Sequence[Polynomial],
 ) -> List[Polynomial]:
-    """Deduplicate (up to associates) and order the c_i for chained
-    saturations: ascending total degree, then term count, then input order."""
+    """The canonical associates of the nonconstant c_i, deduplicated, in
+    ascending total degree, then term count, then input order."""
     seen = {}
     for pos, c in enumerate(cs):
-        if c.is_constant():
-            continue
-        key = normalize_assoc(c)
-        if key not in seen:
-            seen[key] = (c.total_degree(), c.num_terms(), pos, c)
-    ranked = sorted(seen.values(), key=lambda t: t[:3])
-    return [t[3] for t in ranked]
+        if not c.is_constant():
+            seen.setdefault(normalize_assoc(c), pos)
+    return sorted(seen, key=lambda c: (c.total_degree(), c.num_terms(), seen[c]))
 
 
 def saturation_coefficients(I: Ideal, u: Iterable[int]) -> List[Polynomial]:
-    """The K[u]-leading coefficients of I's lex basis localized at u, in the
-    order of sort_saturation_coefficients: the c whose chained saturation of
-    I is the contraction of I K(u)[X-u].
+    """The K[u]-leading coefficients of I's cached degrevlex basis localized
+    at u, as sort_saturation_coefficients orders them: the c whose chained
+    saturation of I is the contraction of I K(u)[X-u].
 
     Requires u independent for I (the localized basis is not trivial).
     """
-    G = I.groebner(order=lex_order(), localized_vars=u)
+    G = I.groebner(localized_vars=u)
     if G.is_trivial():
         raise IdealError("u is not an independent set for I")
     return sort_saturation_coefficients(G.leading_coefficients())

@@ -28,7 +28,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis
-from .orders import degrevlex_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ideals import Ideal
@@ -176,17 +175,15 @@ class IndepSetReport:
 def score_independent_set(I: "Ideal", u: Iterable[int]) -> IndepSetReport:
     """Score a maximal independent set (localized dimension must be finite)."""
     u = tuple(sorted(set(u)))
-    G = I.groebner(order=degrevlex_order(), localized_vars=u)
+    G = I.groebner(localized_vars=u)
     d = G.vector_space_dimension()
-    per = []
-    for lc in G.leading_coefficients():
-        per.append((max(lc.total_degree(), 0), lc.num_terms()))
-    per_tuple = tuple(per)
+    per = tuple((max(lc.total_degree(), 0), lc.num_terms())
+                for lc in G.leading_coefficients())
     return IndepSetReport(
         u=u,
         u_names=tuple(I.ring.names[i] for i in u),
         d=d,
-        per_element=per_tuple,
+        per_element=per,
         lc_degree=max((d0 for d0, _ in per), default=0),
         lc_terms=max((t for _, t in per), default=0),
     )
@@ -222,7 +219,8 @@ def best_independent_set(
 ) -> Tuple[int, ...]:
     """The best-ranked maximal independent set of size ``dim`` (the Krull
     dimension of I, at least 1) among the first ``budget`` enumerated
-    candidates of that size (all of them when ``budget`` is None).
+    candidates of that size (all of them when ``budget`` is None; a budget
+    below 1 raises ValueError).
 
     The candidates are scored in the order of their variable names, and the
     scan stops at the first whose (d, lcdeg, lcterms) reaches a floor that no
@@ -237,6 +235,8 @@ def best_independent_set(
     candidates at the floor the first by name wins, as in the ranking's
     tie-break.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive integer")
     G = I.groebner()
     names = I.ring.names
     nvars = len(names)

@@ -375,7 +375,7 @@ complete yes
 component 1 certified=yes certificate=dimension-1
 component 1 u x1,x3,y1,y3,y4
 component 1 saturation y3 exp=1
-component 1 saturation x3^3*y4 exp=1
+component 1 saturation x1*y3 - x3*y1 exp=1
 component 1 primary y2
 component 1 primary x2
 component 1 primary -x3*y4 + x4*y3
@@ -386,7 +386,7 @@ component 2 certified=yes certificate=dimension-1
 component 2 u x1,x2,x4,y2,y4
 component 2 saturation x2 exp=3
 component 2 saturation y4 exp=1
-component 2 saturation x4^3*y2 exp=0
+component 2 saturation x2*y4 - x4*y2 exp=0
 component 2 primary y3
 component 2 primary x3
 component 2 primary -x1*y2 + x2*y1

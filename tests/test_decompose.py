@@ -631,11 +631,31 @@ def test_primality_zero_and_unit(rxy):
     assert primality_check(_ideal(rxy, "1")).status == NOT_PRIME
 
 
-def test_primality_details_schema(rxyz):
-    verdict = primality_check(_ideal(rxyz, "y - x^2", "z - x^3"))
+def test_primality_details_schema(rxyz, rxyzw):
+    verdict = primality_check(_ideal(rxyzw, "x*y - z*w"))
     assert any(d.startswith("u=") for d in verdict.details)
     assert any(d.startswith("localized-maximality=") for d in verdict.details)
-    assert any(d.startswith("c=") for d in verdict.details)
+    assert "c=x orbit_size=1 stable=yes" in verdict.details
+    # the twisted cubic's localized leading coefficients are constants
+    verdict = primality_check(_ideal(rxyz, "y - x^2", "z - x^3"))
+    assert verdict.status == PRIME
+    assert not any(d.startswith("c=") for d in verdict.details)
+
+
+def test_primality_refuses_a_dependent_u(rxy):
+    # both ideals are prime, but x alone is algebraic over Q modulo them
+    for text in ("x - 1", "x^2 + 1"):
+        with pytest.raises(IdealError, match="not an independent set"):
+            primality_check(_ideal(rxy, text), u=[0])
+    assert primality_check(_ideal(rxy, "x - 1"), u=[1]).status == PRIME
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_refused(rxy, budget):
+    I = _ideal(rxy, "x*y")
+    for entry in (gtz_decompose, primality_check):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            entry(I, budget=budget)
 
 
 # -- symmetry interaction -----------------------------------------------------

@@ -262,7 +262,7 @@ def test_localized_path_basis_spolynomial_count(monkeypatch):
     assert count == 20
 
 
-@pytest.mark.parametrize("n, expected", [(4, 868), (5, 10658)], ids=["P4", "P5"])
+@pytest.mark.parametrize("n, expected", [(4, 720), (5, 9426)], ids=["P4", "P5"])
 def test_path_decomposition_spolynomial_count(monkeypatch, n, expected):
     # every basis of a whole GTZ run: the pair decisions of all its orders
     from idealdec.decompose import gtz_decompose

@@ -9,7 +9,8 @@ before it is popped, which is the path of the reducer's lazy deletion.
 Under random two-block orders, and for localized bases, the check is
 internal: ``is_groebner_basis`` reduces every S-polynomial with no pair
 pruned, and a localized basis must be drawn from the reduced basis under
-its block order.
+its block order, with leading coefficients read from its packed entries
+that equal those projected from its elements.
 
 Tall coefficients load the fraction-free reducer: over Q numerators and
 denominators above 2^64, so every basis and input has denominators to
@@ -190,6 +191,16 @@ def test_localized_basis_is_drawn_from_the_block_basis(gens, order_name,
     full = buchberger(polys, L.computation_order)
     assert is_groebner_basis(full.elements, L.computation_order)
     assert set(L.elements) <= set(full.elements)
+    # the packed leading coefficients are the elements' terms whose rest
+    # exponents equal the leading monomial's, projected onto u
+    rest = [i for i in range(3) if i not in u]
+
+    def coefficient(g, lead):
+        return ring.poly({tuple(e[i] if i in u else 0 for i in range(3)): c
+                          for e, c in g.terms.items()
+                          if all(e[i] == lead[i] for i in rest)})
+
+    assert L.leading_coefficients() == tuple(map(coefficient, L.elements, L.lead_exps()))
 
 
 # numerators in (2^64, 2^80], denominators products of the primes 2^89 - 1

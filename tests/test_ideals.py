@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealdec.domains import QQ, PrimeField
+from idealdec.groebner import buchberger
 from idealdec.ideals import (
     Ideal,
     IdealError,
@@ -159,10 +160,13 @@ def test_dimension(rxyz):
 
 
 def test_sort_saturation_coefficients_cheapest_first(rxy):
+    # each coefficient comes back as its canonical associate, whatever the
+    # scaling of the basis it came from
     cs = [
         rxy.parse("x^3 + x + y + 1"),
+        rxy.parse("-2*y"),
+        rxy.parse("-1/3*x^2 - 1/3*y^2"),
         rxy.parse("y"),
-        rxy.parse("x^2 + y^2"),
     ]
     got = sort_saturation_coefficients(cs)
     assert [str(c) for c in got] == ["y", "x^2 + y^2", "x^3 + x + y + 1"]
@@ -190,6 +194,13 @@ def test_contract_with_trail_records_saturations(rxy):
     got, trail = contract_with_trail(I, [1])
     assert got.equals(_ideal(rxy, "x"))
     assert [(str(c), m) for c, m in trail] == [("y", 1)]
+
+
+def test_contract_of_the_zero_ideal_is_zero(rxy):
+    # the localized basis of the zero ideal is empty and has no packing
+    Z = Ideal(rxy, [])
+    assert saturation_coefficients(Z, [1]) == []
+    assert contract(Z, [1]).is_zero()
 
 
 def test_contract_rejects_dependent_sets(rxy):
@@ -230,7 +241,8 @@ _gens = st.lists(
 @given(gens=_gens, data=st.data())
 def test_contract_is_saturation_by_the_coefficient_product(gens, data):
     # chaining the saturations, in either order, is one saturation by the
-    # product of the coefficients
+    # product of the coefficients; and the contraction does not depend on
+    # the block order of the localized basis: the lex one gives it too
     I = Ideal(_RXYZ, [_RXYZ.poly(t) for t in gens])
     sets = maximal_independent_sets(I.groebner())
     if not sets:  # the unit ideal
@@ -241,6 +253,8 @@ def test_contract_is_saturation_by_the_coefficient_product(gens, data):
     whole = saturate(I, reduce(mul, cs, _RXYZ.one)).ideal
     assert contract(I, u).equals(whole)
     assert chained_saturation(I, cs[::-1])[0].equals(whole)
+    lex = buchberger(I.generators, lex_order(), u).leading_coefficients()
+    assert chained_saturation(I, lex)[0].equals(whole)
 
 
 # -- saturation and intersection without a tag variable -----------------------
