@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"random seed (default: ${SEED_ENV} or 0)")
         sp.add_argument("--budget", type=int, metavar="N",
                         help="rank at most N candidate independent sets of "
-                             "size n - dim (positive)")
+                             "size dim (positive)")
         common(sp)
         return sp
 

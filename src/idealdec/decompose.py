@@ -568,22 +568,26 @@ def gtz_decompose(
 ) -> DecompositionResult:
     """Primary decomposition of an arbitrary ideal over the rationals.
 
-    A loop over remainders J_0 = I, J_{k+1} = J_k + <h^m>: a positive-
-    dimensional J_k is localized at its best-ranked maximal independent set
-    u, the zero-dimensional extension is decomposed and contracted back, and
-    h is the least common multiple of the localized leading coefficients, m
-    its saturation exponent, so J_k = (J_k : h^inf) /\\ J_{k+1}.  The
-    contracted components of a level meet to J_k K(u)[X] /\\ K[X], which is
-    J_k : h^inf (Greuel-Pfister, *A Singular Introduction to Commutative
-    Algebra*, Prop. 4.3.1): zero_dim_decompose splits only along coprime
-    parts of minimal polynomials and along I = (I : g^inf) /\\ (I + <g^e>),
-    so its components meet to J_k K(u).  So m is read against that meet,
+    A loop over remainders J_0 = I, J_{k+1} = J_k + <h^m>: J_k is localized
+    at its best-ranked maximal independent set u (u = () when J_k is
+    zero-dimensional), the zero-dimensional extension is decomposed and
+    contracted back, and h is the least common multiple of the localized
+    leading coefficients, m its saturation exponent, so
+    J_k = (J_k : h^inf) /\\ J_{k+1}.  The contracted components of a level
+    meet to J_k K(u)[X] /\\ K[X], which is J_k : h^inf (Greuel-Pfister, *A
+    Singular Introduction to Commutative Algebra*, Prop. 4.3.1):
+    zero_dim_decompose splits only along coprime parts of minimal
+    polynomials and along I = (I : g^inf) /\\ (I + <g^e>), so its
+    components meet to J_k K(u).  So m is read against that meet,
     the least m with h^m (J_k : h^inf) inside J_k, with no saturation.  A
-    zero-dimensional or unit remainder ends the loop, and so does the first
-    level after which the components found meet to I (the early exit of the
-    GTZ variants in Decker-Greuel-Pfister 1999); more than ``_MAX_DEPTH``
-    levels raise DecompositionIncomplete.  ``budget`` caps how many
-    candidate independent sets of size dim are ranked at each level.
+    unit remainder ends the loop; so does a zero-dimensional one once its
+    components are added, as at u = () the contraction saturates by nothing
+    and they meet to J_k itself; and so does the first level after which
+    the components found meet to I (the early exit of the GTZ variants in
+    Decker-Greuel-Pfister 1999).  More than ``_MAX_DEPTH`` levels raise
+    DecompositionIncomplete.  ``budget`` caps how many candidate
+    independent sets of size dim are ranked at each level; a budget below
+    1 raises ValueError.
 
     Components are deduplicated and pruned to an irredundant intersection:
     a component containing another goes first, then one leave-one-out
@@ -610,7 +614,9 @@ def gtz_decompose(
 
 def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
     """The components of I from the remainders J_0 = I,
-    J_{k+1} = J_k + <h_k^m_k>, until the components found meet to I."""
+    J_{k+1} = J_k + <h_k^m_k>, until the components found meet to I or a
+    remainder is the unit ideal or zero-dimensional (u = (): its
+    components meet to it, so no meet is built)."""
     out: List[PrimaryComponent] = []
     # the meet of out; I lies in it, so I containing it means equality
     meet: Optional[Ideal] = None
@@ -620,18 +626,15 @@ def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
             raise DecompositionIncomplete("decomposition recursion depth exceeded")
         if J.is_trivial():
             return out
-        dim = dimension(J)
-        if dim == 0:
-            comps = zero_dim_decompose(J, (), seed)
-            out.extend(replace(c, provenance=replace(c.provenance, depth=depth))
-                       for c in comps)
-            return out
-        u = best_independent_set(J, dim, budget)
+        u = best_independent_set(J, budget)
         # when the localized ideal is already primary, this is J itself and
-        # the contraction is exactly the saturation shortcut
+        # the contraction is exactly the saturation shortcut; at u = () it
+        # saturates by nothing
         found = [_contract_component(c, u, depth)
                  for c in zero_dim_decompose(J, u, seed)]
         out.extend(found)
+        if not u:
+            return out
         # the level's components meet to J K(u)[X] /\ K[X] = J : h^inf
         level: Optional[Ideal] = None
         for c in found:
@@ -706,14 +709,15 @@ def primality_check(
 ) -> PrimalityVerdict:
     """Certify I prime, refute it, or report UNKNOWN.
 
-    I is prime iff its extension over K(u) (u a maximal independent set) is
-    maximal and I : c = I for every K[u]-leading coefficient c of the
-    localized basis; both halves are checked, the latter once per symmetry
-    orbit of the coefficients.  ``u`` overrides the ranked choice of
-    independent set (it must be independent of full cardinality, e.g. one
-    preserved by the symmetries, else IdealError); ``budget`` caps how many
-    candidate sets of size dim the ranked choice may rank.  The zero ideal is
-    PRIME and the unit ideal NOT_PRIME, each with a one-line detail.
+    I is prime iff its extension over K(u) (u a maximal independent set, ()
+    for a zero-dimensional I) is maximal and I : c = I for every K[u]-leading
+    coefficient c of the localized basis (there are none at u = ()); both
+    halves are checked, the latter once per symmetry orbit of the
+    coefficients.  ``u`` overrides the ranked choice of independent set (it
+    must be independent of full cardinality, e.g. one preserved by the
+    symmetries, else IdealError); ``budget`` caps how many candidate sets of
+    size dim the ranked choice may rank.  The zero ideal is PRIME and the
+    unit ideal NOT_PRIME, each with a one-line detail.
     """
     _require_rationals(I, "the primality check")
     details: List[str] = []
@@ -721,17 +725,14 @@ def primality_check(
         return PrimalityVerdict(PRIME, (), ("zero ideal",))
     if I.is_trivial():
         return PrimalityVerdict(NOT_PRIME, (), ("unit ideal",))
-    dim = dimension(I)
-    if u is not None:
+    if u is None:
+        u = best_independent_set(I, budget)
+    else:
         u = tuple(sorted(set(u)))
-        if len(u) != dim:
+        if len(u) != dimension(I):
             raise IdealError("u must have cardinality dim(I)")
         if I.groebner(localized_vars=u).is_trivial():
             raise IdealError("u is not an independent set for I")
-    elif dim == 0:
-        u = ()
-    else:
-        u = best_independent_set(I, dim, budget)
     u_names = tuple(I.ring.names[i] for i in u)
     details.append("u=" + (",".join(u_names) if u_names else "-"))
     maximality = is_maximal_zero_dim(I, u, seed, _PRIMALITY_FORMS)
@@ -742,7 +743,7 @@ def primality_check(
         return PrimalityVerdict(
             NOT_PRIME, u_names, tuple(details), witness=maximality.witness
         )
-    cs = saturation_coefficients(I, u) if u else []
+    cs = saturation_coefficients(I, u)
     orbits = (
         coefficient_orbits(cs, symmetries, I) if symmetries else
         [[i] for i in range(len(cs))]

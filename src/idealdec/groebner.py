@@ -429,20 +429,18 @@ def _reduce(
 class GroebnerBasis:
     """A computed Groebner basis, possibly in the localized K(u) view.
 
-    ``order`` is the order requested by the caller; ``computation_order``
-    is the actual full-ring order used (a block order when localized).
-    The basis is built from its entries under the computation order and
-    the packing they were made with, as ``buchberger`` holds them, sorted
-    by ascending leading monomial.  The leading exponents are unpacked
-    once, here; ``element(k)`` builds the k-th monic polynomial, and
-    ``elements``, all of them, is built on first access.  Only a plain
-    basis has normal forms, reduced against the entries; a localized one
-    serves its leading data.
+    ``computation_order`` is the full-ring order used: the requested one,
+    or, when localized, the block order built from it with u last.  The
+    basis is built from its entries under that order and the packing they
+    were made with, as ``buchberger`` holds them, sorted by ascending
+    leading monomial.  The leading exponents are unpacked once, here;
+    ``element(k)`` builds the k-th monic polynomial, and ``elements``, all
+    of them, is built on first access.  Only a plain basis has normal forms,
+    reduced against the entries; a localized one serves its leading data.
     """
 
     __slots__ = (
         "ring",
-        "order",
         "computation_order",
         "localized_vars",
         "_entries",
@@ -455,14 +453,12 @@ class GroebnerBasis:
     def __init__(
         self,
         ring: PolyRing,
-        order: MonomialOrder,
         computation_order: MonomialOrder,
         entries: Sequence[Entry],
         localized_vars: Optional[frozenset] = None,
         packing: Optional[_Packing] = None,
     ):
         self.ring = ring
-        self.order = order
         self.computation_order = computation_order
         self._packed_leads = [entry[0] for entry in entries]
         self._leads = [packing.unpack(lead) for lead in self._packed_leads]
@@ -793,7 +789,7 @@ def buchberger(
 
     work = [g for g in gens if not g.is_zero()]
     if not work:
-        return GroebnerBasis(ring, order, comp_order, (), loc)
+        return GroebnerBasis(ring, comp_order, (), loc)
 
     p = ring.domain.characteristic
     packing, entries = _widening(
@@ -801,7 +797,7 @@ def buchberger(
         lambda packing: (packing, _reduced_entries(work, packing, p)))
 
     if loc is None:
-        return GroebnerBasis(ring, order, comp_order, entries, packing=packing)
+        return GroebnerBasis(ring, comp_order, entries, packing=packing)
 
     # localized minimalisation: keep elements whose leading monomial
     # restricted to the rest block is not divisible by a kept one, taken by
@@ -810,7 +806,7 @@ def buchberger(
     restrict, mask = packing.restrict, packing.mask(rest)
     chosen = [entry for _, entry in _minimal(
         [(restrict(entry[0], mask), entry) for entry in entries], packing.guards)]
-    return GroebnerBasis(ring, order, comp_order, chosen, loc, packing)
+    return GroebnerBasis(ring, comp_order, chosen, loc, packing)
 
 
 def is_groebner_basis(

@@ -21,8 +21,9 @@ need no tag:
   coefficients of I's minimal localized basis (saturation_coefficients),
   smallest first -- this turns the extension ideal I K(u)[X-u] back into
   its contraction in K[X];
-* dimension(I):     n minus the size of a minimum hitting set of the
-  leading-monomial supports (Krull dimension of K[X]/I).
+* dimension(I):     n minus the least size among the minimal hitting sets
+  of the leading-monomial supports (Krull dimension of K[X]/I), read from
+  the one enumeration that best_independent_set also uses.
 
 Each construction has one fixed order; none takes an order as a parameter.
 Every tag (t or w here, and the tag of a linear form in decompose) is
@@ -90,7 +91,7 @@ class Ideal:
         got = self._gb_cache.get(cache_key)
         if got is None:
             if not self.generators:
-                got = GroebnerBasis(self.ring, order, order, (), loc)
+                got = GroebnerBasis(self.ring, order, (), loc)
             else:
                 got = buchberger(self.generators, order, loc)
             self._gb_cache[cache_key] = got
@@ -368,15 +369,13 @@ def contract_with_trail(
 
 def dimension(I: Ideal) -> int:
     """Krull dimension of K[X]/I (-1 for the unit ideal)."""
-    if I.is_zero():
-        return I.ring.nvars
     G = I.groebner()
     if G.is_trivial():
         return -1
-    from .indepsets import min_hitting_set_size, minimal_supports
+    from .indepsets import minimal_hitting_sets, minimal_supports
 
-    supports = minimal_supports(G.lead_exps())
-    return I.ring.nvars - min_hitting_set_size(supports)
+    hitters = minimal_hitting_sets(minimal_supports(G.lead_exps()))
+    return I.ring.nvars - min(map(len, hitters))
 
 
 def ideal_sum(I: Ideal, extra: Iterable[Polynomial]) -> Ideal:

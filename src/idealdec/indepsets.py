@@ -5,9 +5,11 @@ A set u of variables is independent for I when no leading monomial of the
 exactly the complements of minimal hitting sets of the leading-monomial
 supports.  The Krull dimension is the largest cardinality among them.
 
-``minimal_hitting_sets`` enumerates the minimal hitting sets lazily: every
-set it yields is inclusion-minimal and no set is yielded twice, so callers
-cap the stream with ``itertools.islice`` and never hold more than they use.
+``minimal_hitting_sets`` is the one hitting-set search.  It enumerates the
+minimal hitting sets lazily: every set it yields is inclusion-minimal and no
+set is yielded twice, so a caller may cap the stream with
+``itertools.islice``.  ``best_independent_set`` and ``ideals.dimension``
+read it whole, since the least size, n - dim(I), needs every set.
 
 Scoring a maximal independent set u means computing the minimal localized
 basis of I over K(u), the vector-space dimension d_u of the localized
@@ -17,8 +19,8 @@ over K(u) and the cost of contracting the result back.  Ranking prefers
 small d_u, then small coefficient degree, then few coefficient terms.
 ``best_independent_set`` picks the set at which GTZ and the primality check
 localize: the best-ranked of the first ``budget`` minimal hitting sets of
-size n - dim(I), complemented.  It scores them by name and stops at a
-proven floor, so it often scores only a few.
+the least size, complemented, or () for a zero-dimensional ideal.  It scores
+them by name and stops at a proven floor, so it often scores only a few.
 """
 
 from __future__ import annotations
@@ -42,39 +44,6 @@ def minimal_supports(lead_exps: Iterable[Tuple[int, ...]]) -> List[FrozenSet[int
         if not any(t <= s for t in out):
             out.append(s)
     return out
-
-
-def min_hitting_set_size(supports: Sequence[FrozenSet[int]]) -> int:
-    """Smallest number of variables meeting every support (branch & bound)."""
-    supports = [s for s in supports]
-    if any(not s for s in supports):
-        raise ValueError("empty support: the ideal contains a unit")
-    if not supports:
-        return 0
-    best = len(frozenset().union(*supports))
-
-    def lower_bound(unhit: List[FrozenSet[int]]) -> int:
-        used: set = set()
-        count = 0
-        for s in unhit:
-            if not (s & used):
-                count += 1
-                used |= s
-        return count
-
-    def rec(unhit: List[FrozenSet[int]], size: int) -> None:
-        nonlocal best
-        if not unhit:
-            best = min(best, size)
-            return
-        if size + lower_bound(unhit) >= best:
-            return
-        pivot = min(unhit, key=len)
-        for v in sorted(pivot):
-            rec([s for s in unhit if v not in s], size + 1)
-
-    rec(supports, 0)
-    return best
 
 
 def minimal_hitting_sets(
@@ -215,19 +184,21 @@ def rank_independent_sets(
 
 
 def best_independent_set(
-    I: "Ideal", dim: int, budget: Optional[int] = None
+    I: "Ideal", budget: Optional[int] = None
 ) -> Tuple[int, ...]:
-    """The best-ranked maximal independent set of size ``dim`` (the Krull
-    dimension of I, at least 1) among the first ``budget`` enumerated
-    candidates of that size (all of them when ``budget`` is None; a budget
-    below 1 raises ValueError).
+    """The best-ranked maximal independent set of I of the largest size,
+    dim(I), among the first ``budget`` enumerated candidates of that size
+    (all of them when ``budget`` is None; a budget below 1 raises
+    ValueError), or () when I is zero-dimensional.  I must be proper.
 
-    The candidates are scored in the order of their variable names, and the
-    scan stops at the first whose (d, lcdeg, lcterms) reaches a floor that no
-    candidate can go below, so it returns what the full ranking ranks first.
-    The floor is (1, 0, 1), since d >= 1 and lcterms >= 1, or (1, 1, 1) when
-    some element g of I's reduced degrevlex basis has degree >= 2 and is
-    x*g' for a variable x.  Then neither x nor g' lies in I, since their
+    One enumeration of the minimal hitting sets gives dim(I), n minus their
+    least size, and the candidates, the complements of the sets of that
+    size.  They are scored in the order of their variable names, and the
+    scan stops at the first whose (d, lcdeg, lcterms) reaches a floor that
+    no candidate can go below, so it returns what the full ranking ranks
+    first.  The floor is (1, 0, 1), since d >= 1 and lcterms >= 1, or
+    (1, 1, 1) when some element g of I's reduced degrevlex basis has degree
+    >= 2 and is x*g' for a variable x.  Then neither x nor g' lies in I, since their
     leading monomials divide g's and the reduced basis is minimal, so I is
     not prime.  But d = 1 and lcdeg = 0 would make I prime: I K(u) is then
     maximal, and with constant leading coefficients I is the contraction of
@@ -240,13 +211,14 @@ def best_independent_set(
     G = I.groebner()
     names = I.ring.names
     nvars = len(names)
-    hitters = (
-        h for h in minimal_hitting_sets(minimal_supports(G.lead_exps()))
-        if len(h) == nvars - dim
-    )
+    hitters = list(minimal_hitting_sets(minimal_supports(G.lead_exps())))
+    least = min(map(len, hitters))
+    if least == nvars:
+        return ()
     everything = frozenset(range(nvars))
     candidates = sorted(
-        (tuple(sorted(everything - h)) for h in islice(hitters, budget)),
+        (tuple(sorted(everything - h))
+         for h in islice((h for h in hitters if len(h) == least), budget)),
         key=lambda u: [names[i] for i in u],
     )
     floor = (1, 1, 1) if _splits_off_a_variable(G) else (1, 0, 1)

@@ -652,10 +652,11 @@ def test_primality_refuses_a_dependent_u(rxy):
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_refused(rxy, budget):
-    I = _ideal(rxy, "x*y")
-    for entry in (gtz_decompose, primality_check):
-        with pytest.raises(ValueError, match="budget must be a positive integer"):
-            entry(I, budget=budget)
+    # the zero-dimensional ideal is refused too, not decomposed
+    for I in (_ideal(rxy, "x*y"), _ideal(rxy, "x^2 - 1", "y")):
+        for entry in (gtz_decompose, primality_check):
+            with pytest.raises(ValueError, match="budget must be a positive integer"):
+                entry(I, budget=budget)
 
 
 # -- symmetry interaction -----------------------------------------------------

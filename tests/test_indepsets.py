@@ -13,7 +13,6 @@ from idealdec.indepsets import (
     best_independent_set,
     is_independent,
     maximal_independent_sets,
-    min_hitting_set_size,
     minimal_hitting_sets,
     minimal_supports,
     rank_independent_sets,
@@ -33,9 +32,9 @@ def test_minimal_supports_prunes_supersets():
 
 def test_hitting_sets():
     supports = [frozenset({0, 1}), frozenset({2})]
-    assert min_hitting_set_size(supports) == 2
-    hitters = minimal_hitting_sets(supports)
-    assert sorted(sorted(h) for h in hitters) == [[0, 2], [1, 2]]
+    hitters = sorted(sorted(h) for h in minimal_hitting_sets(supports))
+    assert hitters == [[0, 2], [1, 2]]
+    assert min(map(len, hitters)) == 2
 
 
 def test_maximal_independent_sets_of_3x9_minors():
@@ -121,10 +120,10 @@ def test_rank_respects_budget(rxyz, monkeypatch):
         return real(I, u)
 
     monkeypatch.setattr(indepsets, "score_independent_set", counted)
-    full = best_independent_set(I, 2)
+    full = best_independent_set(I)
     assert len(scored) == 3
     scored.clear()
-    capped = best_independent_set(I, 2, budget=1)
+    capped = best_independent_set(I, budget=1)
     assert scored == [capped]
     assert full == (0, 1)  # the sets tie; the names break it
 
@@ -168,14 +167,16 @@ _polys = st.lists(
 # u = x,z scores (3, 0, 1) and u = y,z (2, 1, 1)
 @example(gens=[_RXYZ.parse("x^2*y + y^3")])
 @example(gens=[_RXYZ.parse("x*y - x*z")])
+@example(gens=[_RXYZ.parse("x^2 - 1"), _RXYZ.parse("y"), _RXYZ.parse("z")])
 def test_best_independent_set_equals_the_full_ranking(gens):
     I = Ideal(_RXYZ, gens)
     if I.groebner().is_trivial():
         return
     dim = dimension(I)
     if dim == 0:
-        return
-    assert best_independent_set(I, dim) == _full_ranking_best(I, dim)
+        assert best_independent_set(I) == ()
+    else:
+        assert best_independent_set(I) == _full_ranking_best(I, dim)
 
 
 def test_a_candidate_with_constant_coefficients_does_not_stop_the_scan(monkeypatch):
@@ -183,7 +184,7 @@ def test_a_candidate_with_constant_coefficients_does_not_stop_the_scan(monkeypat
     I = Ideal.parse(_RXYZ, ["x^2*y + y^3"])
     assert _splits_off_a_variable(I.groebner())
     scored = _counting_scores(monkeypatch)
-    assert best_independent_set(I, 2) == (1, 2)
+    assert best_independent_set(I) == (1, 2)
     assert scored == [(0, 2), (1, 2)]
     assert [score_independent_set(I, u).line() for u in scored] == [
         "u=x,z d_u=3 lcdeg=0 lcterms=1", "u=y,z d_u=2 lcdeg=1 lcterms=1",
@@ -196,14 +197,14 @@ def test_the_floor_certificate(rxyz, rxyzw, monkeypatch):
     I = _ideal(rxyz, "x*y - x*z")
     assert _splits_off_a_variable(I.groebner())
     scored = _counting_scores(monkeypatch)
-    assert best_independent_set(I, 2) == (0, 2)
+    assert best_independent_set(I) == (0, 2)
     assert scored == [(0, 2)]
     assert _full_ranking_best(I, 2) == (0, 2)
     # the prime x*y - z*w gives no certificate: floor (1, 0, 1), never reached
     P = _ideal(rxyzw, "x*y - z*w")
     assert not _splits_off_a_variable(P.groebner())
     scored.clear()
-    best = best_independent_set(P, 3)
+    best = best_independent_set(P)
     assert scored == [(0, 2, 3), (1, 2, 3)]  # every candidate
     assert best == _full_ranking_best(P, 3)
     # a variable in the basis is no certificate: <x, y*z - w> is prime
@@ -215,7 +216,7 @@ def test_a_tie_at_the_floor_goes_to_the_first_set_by_name(monkeypatch):
     ring = PolyRing(("y", "x"))
     I = _ideal(ring, "x*y")
     scored = _counting_scores(monkeypatch)
-    assert best_independent_set(I, 1) == (1,)  # u = x
+    assert best_independent_set(I) == (1,)  # u = x
     assert scored == [(1,)]
     assert _full_ranking_best(I, 1) == (1,)
 
