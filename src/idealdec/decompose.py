@@ -12,7 +12,10 @@ The entry points are:
   extension, contract, and go on with the remainder I + <h^m> until the
   components found meet to I; then prune to an irredundant intersection,
   sending to the leave-one-out test only the components that prime
-  avoidance does not already mark as needed;
+  avoidance does not already mark as needed.  A monomial ideal (one whose
+  reduced degrevlex basis is all monomials) skips GTZ: one hitting-set
+  search on its polarization gives its irredundant primary decomposition,
+  each component certified ``monomial``, with empty provenance;
 * ``primality_check`` -- certify an ideal prime (or refute it) by combining
   a localized maximality certificate with the saturation identities
   I : c = I for the leading coefficients c, pruned by ideal symmetries;
@@ -60,7 +63,12 @@ from .ideals import (
     saturation_coefficients,
     saturation_exponent,
 )
-from .indepsets import best_independent_set
+from .indepsets import (
+    best_independent_set,
+    check_budget,
+    minimal_hitting_sets,
+    minimal_supports,
+)
 from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
 from .rings import Polynomial, adjoin, inject, project
 from .symmetry import SymmetryAction, UnionFind
@@ -561,6 +569,55 @@ def _prune_redundant(
     return kept
 
 
+# ---------------------------------------------------------------------------
+# monomial ideals
+
+
+def _monomial_components(I: Ideal) -> Optional[List[PrimaryComponent]]:
+    """The irredundant primary decomposition of a proper I whose reduced
+    degrevlex basis is all monomials, or None when it is not.
+
+    That basis is I's minimal monomial generating set.  Polarization
+    (Herzog-Hibi, *Monomial Ideals*, Sec. 1.6) makes x_i^a the squarefree
+    product of the slots (i, 1), ..., (i, a).  Each minimal hitting set H
+    of the polarized supports gives the irreducible component
+    <x_i^j : (i, j) in H>, and these meet to I.  H holds at most one slot
+    per variable: a support holding (i, j) holds every (i, j') with j' < j,
+    so a second slot of x_i would hit nothing alone.  Grouped by their
+    radical <x_i : i in S>, the components meet to the primary components.
+    A component <x^b> that contains another, <x^c>, has the same radical,
+    so its group's meet drops it: were x_i in b's support and not in c's,
+    H_b would hit some generator only in (i, b_i), below b_k and so below
+    c_k in every other x_k of c's support, and H_c would miss it.
+    """
+    gens = I.groebner().elements
+    if any(len(g.terms) != 1 for g in gens):
+        return None
+    ring = I.ring
+    exps = [next(iter(g.terms)) for g in gens]
+    degrees = map(max, zip(*exps))
+    slots = [(i, j) for i, d in enumerate(degrees) for j in range(1, d + 1)]
+    polarized = [tuple(int(j <= e[i]) for i, j in slots) for e in exps]
+    groups: dict = {}
+    for H in minimal_hitting_sets(minimal_supports(polarized)):
+        b = [0] * ring.nvars
+        for k in H:
+            i, j = slots[k]
+            b[i] = j
+        groups.setdefault(tuple(i for i, bi in enumerate(b) if bi), []).append(b)
+    x = ring.gens()
+    out = []
+    for S, bs in groups.items():
+        prime = Ideal(ring, [x[i] for i in S])
+        primary = None
+        for b in bs:
+            primary = _meet(primary, Ideal(ring, [x[i] ** b[i] for i in S]))
+        if primary.generators == prime.generators:
+            primary = prime  # one cached basis for both
+        out.append(PrimaryComponent(primary, prime, True, certificate="monomial"))
+    return out
+
+
 def gtz_decompose(
     I: Ideal,
     seed: int = 0,
@@ -568,9 +625,16 @@ def gtz_decompose(
 ) -> DecompositionResult:
     """Primary decomposition of an arbitrary ideal over the rationals.
 
-    A loop over remainders J_0 = I, J_{k+1} = J_k + <h^m>: J_k is localized
-    at its best-ranked maximal independent set u (u = () when J_k is
-    zero-dimensional), the zero-dimensional extension is decomposed and
+    An ideal whose reduced degrevlex basis is all monomials (a monomial
+    ideal, whatever its generators) is decomposed without GTZ, by one
+    hitting-set search on its polarization (_monomial_components): its
+    components are the irredundant primary decomposition, each certified
+    with certificate ``monomial`` and with empty provenance.  Any other
+    ideal runs GTZ, which computes that basis first anyway.
+
+    GTZ is a loop over remainders J_0 = I, J_{k+1} = J_k + <h^m>: J_k is
+    localized at its best-ranked maximal independent set u (u = () when J_k
+    is zero-dimensional), the zero-dimensional extension is decomposed and
     contracted back, and h is the least common multiple of the localized
     leading coefficients, m its saturation exponent, so
     J_k = (J_k : h^inf) /\\ J_{k+1}.  The contracted components of a level
@@ -587,25 +651,28 @@ def gtz_decompose(
     Decker-Greuel-Pfister 1999).  More than ``_MAX_DEPTH`` levels raise
     DecompositionIncomplete.  ``budget`` caps how many candidate
     independent sets of size dim are ranked at each level; a budget below
-    1 raises ValueError.
+    1 raises ValueError, whatever the ideal.
 
-    Components are deduplicated and pruned to an irredundant intersection:
-    a component containing another goes first, then one leave-one-out
-    sweep.  When every component is certified, a component whose prime
-    contains no other component's prime skips the leave-one-out test: by
-    prime avoidance it is never redundant.
+    GTZ's components are deduplicated and pruned to an irredundant
+    intersection: a component containing another goes first, then one
+    leave-one-out sweep.  When every component is certified, a component
+    whose prime contains no other component's prime skips the leave-one-out
+    test: by prime avoidance it is never redundant.
 
     The zero ideal, which is prime, is its own single component (certificate
     ``zero-ideal``); the unit ideal has no components.
     """
     _require_rationals(I, "primary decomposition")
+    check_budget(budget)
     if I.is_zero():
         return DecompositionResult(
             I, (PrimaryComponent(I, I, True, certificate="zero-ideal"),), True
         )
-    comps = _dedupe(_gtz(I, seed, budget))
-    if not I.is_trivial():
-        comps = _prune_redundant(I, comps)
+    if I.is_trivial():
+        return DecompositionResult(I, (), True)
+    comps = _monomial_components(I)
+    if comps is None:
+        comps = _prune_redundant(I, _dedupe(_gtz(I, seed, budget)))
     comps.sort(key=lambda c: (len(c.primary.canonical_generators()),
                               [str(g) for g in c.primary.canonical_generators()]))
     complete = all(c.certified for c in comps)
@@ -720,6 +787,7 @@ def primality_check(
     unit ideal NOT_PRIME, each with a one-line detail.
     """
     _require_rationals(I, "the primality check")
+    check_budget(budget)
     details: List[str] = []
     if I.is_zero():
         return PrimalityVerdict(PRIME, (), ("zero ideal",))

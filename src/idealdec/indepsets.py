@@ -183,6 +183,12 @@ def rank_independent_sets(
     return IndepSetRanking(tuple(reports))
 
 
+def check_budget(budget: Optional[int]) -> None:
+    """Refuse a budget below 1 (None means no budget)."""
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive integer")
+
+
 def best_independent_set(
     I: "Ideal", budget: Optional[int] = None
 ) -> Tuple[int, ...]:
@@ -206,8 +212,7 @@ def best_independent_set(
     candidates at the floor the first by name wins, as in the ranking's
     tie-break.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be a positive integer")
+    check_budget(budget)
     G = I.groebner()
     names = I.ring.names
     nvars = len(names)

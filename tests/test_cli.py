@@ -214,14 +214,10 @@ def test_decompose_report(capsys, gens_file):
         "ring Q[x,y,z]",
         "components 2",
         "complete yes",
-        "component 1 certified=yes certificate=dimension-1",
-        "component 1 u y,z",
-        "component 1 saturation z exp=1",
+        "component 1 certified=yes certificate=monomial",
         "component 1 primary x",
         "component 1 prime x",
-        "component 2 certified=yes certificate=dimension-1",
-        "component 2 u x",
-        "component 2 saturation x exp=1",
+        "component 2 certified=yes certificate=monomial",
         "component 2 primary z",
         "component 2 primary y",
         "component 2 prime z",
@@ -290,9 +286,10 @@ def test_decompose_zero_ideal(capsys, gens_file):
     ]
 
 
-# whole decompose reports, byte for byte: the saturation exponents and
-# components of the edge ideal of the 6-cycle, the binomial edge ideal of
-# the path on four vertices and a monomial
+# whole decompose reports, byte for byte: the components of the edge ideal
+# of the 6-cycle and of a monomial, both monomial ideals and so read from
+# their polarization, and the saturation exponents and components of the
+# binomial edge ideal of the path on four vertices
 DECOMPOSE_GOLDENS = {
     "c6": (
         "ring Q[x1,x2,x3,x4,x5,x6]\nx1*x2\nx2*x3\nx3*x4\nx4*x5\nx5*x6\nx6*x1\n",
@@ -305,29 +302,21 @@ idealdec report v1
 ring Q[x1..x6]
 components 5
 complete yes
-component 1 certified=yes certificate=dimension-1
-component 1 u x2,x4,x6
-component 1 saturation x6 exp=1
-component 1 saturation x4 exp=1
+component 1 certified=yes certificate=monomial
 component 1 primary x5
 component 1 primary x3
 component 1 primary x1
 component 1 prime x5
 component 1 prime x3
 component 1 prime x1
-component 2 certified=yes certificate=dimension-1
-component 2 u x1,x3,x5
-component 2 saturation x5 exp=1
-component 2 saturation x3 exp=1
+component 2 certified=yes certificate=monomial
 component 2 primary x6
 component 2 primary x4
 component 2 primary x2
 component 2 prime x6
 component 2 prime x4
 component 2 prime x2
-component 3 certified=yes certificate=dimension-1
-component 3 u x3,x6
-component 3 saturation x6 exp=1
+component 3 certified=yes certificate=monomial
 component 3 primary x5
 component 3 primary x4
 component 3 primary x2
@@ -336,9 +325,7 @@ component 3 prime x5
 component 3 prime x4
 component 3 prime x2
 component 3 prime x1
-component 4 certified=yes certificate=dimension-1
-component 4 u x2,x5
-component 4 saturation x5 exp=1
+component 4 certified=yes certificate=monomial
 component 4 primary x6
 component 4 primary x4
 component 4 primary x3
@@ -347,10 +334,7 @@ component 4 prime x6
 component 4 prime x4
 component 4 prime x3
 component 4 prime x1
-component 5 certified=yes certificate=dimension-1
-component 5 u x1,x4
-component 5 saturation x4 exp=1
-component 5 saturation x1 exp=1
+component 5 certified=yes certificate=monomial
 component 5 primary x6
 component 5 primary x5
 component 5 primary x3
@@ -423,13 +407,10 @@ idealdec report v1
 ring Q[x,y]
 components 2
 complete yes
-component 1 certified=yes certificate=dimension-1
-component 1 u y
-component 1 saturation y^3 exp=1
+component 1 certified=yes certificate=monomial
 component 1 primary x^2
 component 1 prime x
-component 2 certified=yes certificate=dimension-1
-component 2 u x
+component 2 certified=yes certificate=monomial
 component 2 primary y^3
 component 2 prime y
 """,
@@ -486,16 +467,29 @@ def test_decompose_incomplete_exit_code(capsys, gens_file, monkeypatch):
 
 
 def test_decompose_depth_guard_in_the_remainder_loop(capsys, gens_file, monkeypatch):
-    """The real loop, not a stub: the edge ideal of the 5-cycle needs a
-    remainder past the first, so with no depth to spare it is unfinished."""
+    """The real loop, not a stub: the binomial edge ideal of the path on
+    three vertices needs a remainder past the first, so with no depth to
+    spare it is unfinished.  (A monomial ideal never reaches the loop.)"""
     import idealdec.decompose as decompose_mod
 
     monkeypatch.setattr(decompose_mod, "_MAX_DEPTH", 0)
-    cycle = "ring Q[x1,x2,x3,x4,x5]\nx1*x2\nx2*x3\nx3*x4\nx4*x5\nx5*x1\n"
-    code, out, err = run(capsys, "decompose", gens_file(cycle))
+    path = "ring Q[x1,x2,x3,y1,y2,y3]\nx1*y2 - x2*y1\nx2*y3 - x3*y2\n"
+    code, out, err = run(capsys, "decompose", gens_file(path))
     assert code == EXIT_UNKNOWN
     assert out == ""
     assert "decomposition recursion depth exceeded" in err
+
+
+def test_decompose_the_twelve_cycle(capsys, gens_file):
+    """The edge ideal of the 12-cycle: GTZ ran out of depth on it; its
+    polarization, itself, gives its 29 minimal vertex covers."""
+    names = [f"x{i}" for i in range(1, 13)]
+    text = f"ring Q[{','.join(names)}]\n" + "".join(
+        f"{a}*{b}\n" for a, b in zip(names, names[1:] + names[:1]))
+    code, out, err = run(capsys, "decompose", gens_file(text))
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert "components 29" in lines and "complete yes" in lines
 
 
 # -- primality ----------------------------------------------------------------

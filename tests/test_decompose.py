@@ -255,7 +255,8 @@ def test_gtz_zero_and_unit(rxy):
 
 
 def test_gtz_provenance_records_u_and_saturations(rxyz):
-    I = _ideal(rxyz, "x*y", "x*z")
+    # <x*y, x*z> with x moved to x + 1: not monomial, so GTZ runs
+    I = _ideal(rxyz, "x*y + y", "x*z + z")
     result = gtz_decompose(I)
     for comp in result.components:
         assert comp.provenance.u_names or comp.provenance.depth == 0
@@ -358,6 +359,65 @@ def test_cli_decomposes_the_path_on_four_vertices(capsys, tmp_path):
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK
     assert "components 3" in out and "complete yes" in out
+
+
+# -- monomial ideals -----------------------------------------------------------
+
+
+def test_a_monomial_basis_takes_the_monomial_route(rxy):
+    # the generators are not monomials, but the reduced basis is
+    result = gtz_decompose(_ideal(rxy, "x + y", "x - y"))
+    assert result.complete
+    (comp,) = result.components
+    assert comp.certified and comp.certificate == "monomial"
+    assert comp.provenance == decompose.Provenance()
+    assert comp.prime.equals(_ideal(rxy, "x", "y"))
+    assert comp.primary.equals(comp.prime)
+
+
+def _monomial_radical(Q):
+    ring = Q.ring
+    return Ideal(ring, [ring.monomial(tuple(min(a, 1) for a in e))
+                        for g in Q.generators for e in g.terms])
+
+
+def _is_monomial_primary(Q):
+    """A monomial ideal is primary exactly when every variable of its
+    minimal generators has a pure power among them."""
+    exps = [next(iter(g.terms)) for g in Q.canonical_generators()]
+    used = {i for e in exps for i, a in enumerate(e) if a}
+    pure = {i for e in exps for i, a in enumerate(e) if a == sum(e)}
+    return used == pure
+
+
+_exponents4 = st.tuples(*[st.integers(0, 3)] * 4).filter(any)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(exps=st.lists(_exponents4, min_size=1, max_size=4))
+def test_monomial_route_is_an_irredundant_primary_decomposition(exps):
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    I = Ideal(ring, [ring.monomial(e) for e in exps])
+    result = gtz_decompose(I)
+    comps = result.components
+    assert result.complete and all(c.certificate == "monomial" for c in comps)
+    assert _reassemble(ring, result).equals(I)
+    for c in comps:
+        assert _is_monomial_primary(c.primary)
+        assert _monomial_radical(c.primary).equals(c.prime)
+    # irredundant: each component is needed, and no two share a prime
+    for i in range(len(comps)):
+        rest = [c.primary for j, c in enumerate(comps) if j != i]
+        if rest:
+            meet = rest[0]
+            for Q in rest[1:]:
+                meet = intersect(meet, Q)
+            assert not meet.equals(I)
+    assert len(_canonical_set(c.prime for c in comps)) == len(comps)
+    # the associated primes of the GTZ loop
+    loop = decompose._dedupe(decompose._gtz(I, 0, None))
+    loop = decompose._prune_redundant(I, loop)
+    assert _canonical_set(c.prime for c in comps) == _canonical_set(c.prime for c in loop)
 
 
 # -- pruning to an irredundant intersection ------------------------------------
@@ -552,11 +612,16 @@ def test_level_exponent_matches_saturate_on_the_corpus(k, monkeypatch):
     _path_edge_ideal(5),
 ], ids=["C5", "C6", "P3", "P4", "P5"])
 def test_level_exponent_matches_saturate_on_edge_ideals(I, monkeypatch):
+    # the GTZ loop itself: gtz_decompose reads the monomial C5 and C6 from
+    # their polarization
     checked = _checking_level_exponent(monkeypatch)
-    result = gtz_decompose(I)
-    assert result.complete
+    comps = decompose._gtz(I, 0, None)
+    assert all(c.certified for c in comps)
     assert checked
-    assert _reassemble(I.ring, result).equals(I)
+    meet = comps[0].primary
+    for c in comps[1:]:
+        meet = intersect(meet, c.primary)
+    assert meet.equals(I)
 
 
 _small_term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
@@ -652,8 +717,10 @@ def test_primality_refuses_a_dependent_u(rxy):
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_refused(rxy, budget):
-    # the zero-dimensional ideal is refused too, not decomposed
-    for I in (_ideal(rxy, "x*y"), _ideal(rxy, "x^2 - 1", "y")):
+    # refused before any shortcut: the monomial, zero-dimensional, unit and
+    # zero ideals are refused too, not decomposed
+    for I in (_ideal(rxy, "x*y"), _ideal(rxy, "x^2 - 1", "y"), _ideal(rxy, "1"),
+              Ideal(rxy, []), _ideal(rxy, "x - 1", "x + 1")):
         for entry in (gtz_decompose, primality_check):
             with pytest.raises(ValueError, match="budget must be a positive integer"):
                 entry(I, budget=budget)

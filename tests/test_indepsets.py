@@ -3,8 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idealdec import indepsets
-from idealdec.decompose import gtz_decompose
+from idealdec import decompose, indepsets
 from idealdec.hyperedge import HyperedgeSpec, build_hyperedge_ideal
 from idealdec.ideals import Ideal, dimension
 from idealdec.indepsets import (
@@ -225,5 +224,7 @@ def test_gtz_on_the_six_cycle_scores_nine_sets(monkeypatch):
     ring = PolyRing(tuple(f"x{i}" for i in range(1, 7)))
     I = Ideal.parse(ring, [f"x{i}*x{i % 6 + 1}" for i in range(1, 7)])
     scored = _counting_scores(monkeypatch)
-    gtz_decompose(I)
+    # the GTZ loop itself: gtz_decompose reads a monomial ideal from its
+    # polarization and ranks nothing
+    decompose._gtz(I, 0, None)
     assert len(scored) == 9  # the full ranking scored 31
