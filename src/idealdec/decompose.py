@@ -21,12 +21,14 @@ The entry points are:
   I : c = I for the leading coefficients c, pruned by ideal symmetries;
 * ``is_maximal_zero_dim`` -- the maximality certificate itself.
 
-``zero_dim_decompose`` and ``is_maximal_zero_dim`` walk the same candidate
-primitive elements (the variables, then seeded linear forms) and split each
-candidate's minimal polynomial; the first stops at a split, the second at a
-refutation or a certified primitive element.  Between the two walks
-``zero_dim_decompose`` tries the variables-only certificate of the radical,
-so forms run only on an ideal not yet known to be primary.
+``zero_dim_decompose`` walks the candidate primitive elements (the
+variables, then seeded linear forms) once, splitting each candidate's
+minimal polynomial: it stops at a split, or at a variable that is a
+certified primitive element.  Between the variables and the forms it tries
+the variables-only certificate of the radical, so forms run only on an
+ideal not yet known to be primary.  A leaf's maximality certificate is the
+loop of ``is_maximal_zero_dim`` run on the variables already walked and
+then on its own seeded forms, so no variable is eliminated twice.
 
 Decisions that depend on polynomial factorization go through the bounded
 certificate toolkit in factorize; whenever that toolkit cannot decide, the
@@ -45,10 +47,11 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .domains import QQ
-from .factorize import FactorOutcome, FactorPart, split_minimal_polynomial
+from .factorize import FactorOutcome, split_minimal_polynomial
 from .groebner import NotZeroDimensional
 from .ideals import (
     Ideal,
@@ -218,66 +221,27 @@ def minimal_polynomial_of_form(
 # zero-dimensional decomposition
 
 
-def _split_branches(
-    I: Ideal, parts: Sequence[FactorPart], back: Callable[[Polynomial], Polynomial]
-) -> List[Ideal]:
-    """The branch ideals I + <p^mult> for coprime parts p of a minimal
-    polynomial, each part mapped into I.ring by ``back`` first."""
-    return [ideal_sum(I, [back(part.poly) ** part.multiplicity]) for part in parts]
+class _Candidate(NamedTuple):
+    """A candidate primitive element of a localized ideal: its name, its
+    minimal polynomial m in the variable of index v, the split of m, and the
+    map of a polynomial in m's ring back to the ideal's ring."""
 
-
-def _radical_zero_dim(I: Ideal, outcomes: Sequence[FactorOutcome]) -> Ideal:
-    """Radical of a zero-dimensional localized ideal at a leaf of the split.
-
-    ``outcomes`` are the splits of the variables' minimal polynomials.  At a
-    leaf each has one part p^k, so p is the squarefree part of the minimal
-    polynomial; adjoining p for every k > 1 gives the radical (the base
-    field has characteristic zero, so this is exact)."""
-    extra = [o.parts[0].poly for o in outcomes if o.parts[0].multiplicity > 1]
-    if not extra:
-        return I
-    return ideal_sum(I, extra)
-
-
-def _splits(outcome: FactorOutcome) -> bool:
-    """Two or more coprime parts: adjoining p_i^mult splits the ideal.  A
-    single part of high multiplicity is no split (I + <p^k> = I)."""
-    return len(outcome.parts) >= 2
-
-
-def _refutes_maximality(outcome: FactorOutcome) -> bool:
-    return len(outcome.parts) >= 2 or any(
-        p.multiplicity > 1 for p in outcome.parts
-    )
-
-
-def _linear_form_coeffs(
-    rest: Sequence[int], nvars: int, trial: int, rng: random.Random
-) -> List[int]:
-    coeffs = [0] * nvars
-    if trial == 0:
-        for j, v in enumerate(rest):
-            coeffs[v] = j + 1
-    else:
-        while all(c == 0 for c in coeffs):
-            for v in rest:
-                coeffs[v] = rng.randint(-5, 5)
-    return coeffs
+    label: str
+    m: Polynomial
+    v: int
+    outcome: FactorOutcome
+    back: Callable[[Polynomial], Polynomial]
 
 
 def _variable_candidates(
     I: Ideal, u: Tuple[int, ...], rest: Sequence[int], seed: int
-) -> Iterator[Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]]:
-    """The variables of ``rest`` as candidate primitive elements of the
-    localized ideal, lazily.
-
-    Yields (label, m, v, outcome, back): the candidate's name, its minimal
-    polynomial m in the variable of index v, the split of m, and the map of
-    a polynomial in m's ring back to I.ring.
-    """
+) -> Iterator[_Candidate]:
+    """The variables of ``rest`` as candidates, lazily."""
     for v in rest:
         m = minimal_polynomial(I, v, u)
-        yield I.ring.names[v], m, v, split_minimal_polynomial(m, v, u, seed), _identity
+        yield _Candidate(
+            I.ring.names[v], m, v, split_minimal_polynomial(m, v, u, seed), _identity
+        )
 
 
 def _form_candidates(
@@ -286,48 +250,74 @@ def _form_candidates(
     rest: Sequence[int],
     seed: int,
     linear_budget: int,
-    rng_seed: int,
-) -> Iterator[Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]]:
-    """``linear_budget`` linear forms in ``rest`` as candidates, lazily, as
-    in _variable_candidates (the first fixed, the others drawn from
-    ``rng_seed``); v is the tag that minimal_polynomial_of_form adjoins."""
-    rng = random.Random(rng_seed)
+    salt: int,
+) -> Iterator[_Candidate]:
+    """``linear_budget`` linear forms in ``rest`` as candidates, lazily: the
+    first is sum((j + 1) x_rest[j]), the others have coefficients in
+    [-5, 5] drawn from ``(seed << 8) ^ salt``; v is the tag that
+    minimal_polynomial_of_form adjoins."""
+    rng = random.Random((seed << 8) ^ salt)
     tag = I.ring.nvars
     for trial in range(linear_budget):
-        coeffs = _linear_form_coeffs(rest, I.ring.nvars, trial, rng)
+        coeffs = [0] * tag
+        if trial == 0:
+            for j, v in enumerate(rest):
+                coeffs[v] = j + 1
+        else:
+            while not any(coeffs):
+                for v in rest:
+                    coeffs[v] = rng.randint(-5, 5)
         m, form = minimal_polynomial_of_form(I, coeffs, u)
 
         def back(p: Polynomial, form=inject(form, m.ring)) -> Polynomial:
             return project(p.substitute(tag, form), I.ring)
 
-        yield str(form), m, tag, split_minimal_polynomial(m, tag, u, seed), back
+        yield _Candidate(
+            str(form), m, tag, split_minimal_polynomial(m, tag, u, seed), back
+        )
 
 
 def _identity(p: Polynomial) -> Polynomial:
     return p
 
 
-def _first_split(
-    I: Ideal,
-    candidates: Iterable[
-        Tuple[str, Polynomial, int, FactorOutcome, Callable[[Polynomial], Polynomial]]
-    ],
-    D: int,
-    outcomes: List[FactorOutcome],
-) -> Optional[List[Ideal]]:
-    """Walk the candidates until one splits I, and return the branch ideals
-    of that split; [] when a candidate is a primitive element of a field
-    (no candidate can split), None when the candidates run out.  The
-    outcomes that do not split are appended to ``outcomes``."""
-    for _, m, v, outcome, back in candidates:
-        if _splits(outcome):
-            return _split_branches(I, outcome.parts, back)
-        outcomes.append(outcome)
-        part = outcome.parts[0]
-        if (part.irreducible is True and part.multiplicity == 1
-                and m.degree_in(v) == D):
-            return []
-    return None
+def _primitive(candidate: _Candidate, D: int) -> str:
+    """``primitive-element:<label>;<cert>`` when the candidate's minimal
+    polynomial is one part of multiplicity 1, certified irreducible, of
+    degree D, the dimension of the quotient (which is then a field), else
+    the empty string."""
+    label, m, v, outcome, _ = candidate
+    part = outcome.parts[0]
+    if (len(outcome.parts) == 1 and part.multiplicity == 1
+            and part.irreducible is True and m.degree_in(v) == D):
+        return f"primitive-element:{label};{part.certificate}"
+    return ""
+
+
+def _maximality(candidates: Iterable[_Candidate], D: int) -> MaximalityResult:
+    """Walk the candidates of a zero-dimensional localized ideal of
+    dimension D > 1 until one refutes its maximality (two coprime parts or
+    a repeated one give a zero divisor, the witness) or certifies it
+    (_primitive); UNKNOWN, with the first undecided factorization as the
+    obligation, when they run out."""
+    obligation = ""
+    for candidate in candidates:
+        _, m, v, outcome, back = candidate
+        parts = outcome.parts
+        if len(parts) >= 2 or parts[0].multiplicity > 1:
+            p = parts[0].poly
+            if p.degree_in(v) == 0 and len(parts) > 1:
+                p = parts[1].poly
+            return MaximalityResult(NOT_MAXIMAL, witness=back(p))
+        certificate = _primitive(candidate, D)
+        if certificate:
+            return MaximalityResult(MAXIMAL, certificate=certificate)
+        if parts[0].irreducible is None and not obligation:
+            obligation = outcome.obligation or f"factor {m}"
+    return MaximalityResult(
+        UNKNOWN,
+        obligation=obligation or "no primitive element found within the search budget",
+    )
 
 
 def _decompose_branches(
@@ -346,19 +336,24 @@ def zero_dim_decompose(
 
     The returned components are plain-ideal representatives of the primary
     components of I K(u)[X-u]; callers working over K[X] must contract
-    them.  Splitting adjoins coprime parts of minimal polynomials: first of
-    the variables, which also give the radical R; then, unless the
-    variables of R certify it maximal (I is then primary, and no form can
-    split it), of seeded random linear forms.  A leaf that cannot be split
-    is certified primary through R's maximality certificate, or reported
-    uncertified with the unresolved obligation.
+    them.  One walk of candidate primitive elements, the variables and then
+    seeded linear forms, splits I along the coprime parts of the first
+    minimal polynomial that has two or more.  A variable that is a
+    certified primitive element ends the walk at a prime leaf.  The
+    variables' minimal polynomials also give the radical R; when R is not
+    I, R's variables may certify it maximal (I is then primary, and no form
+    can split it) before any form is tried.  A leaf that no candidate
+    splits is certified through R's maximality certificate, which for a
+    radical I goes on from the variables already walked, or is reported
+    uncertified with the unresolved obligation.  The zero ideal, which is
+    not zero-dimensional, raises NotZeroDimensional.
     """
     _require_rationals(I, "zero-dimensional decomposition")
     u = tuple(sorted(set(u)))
     if _depth > 64:
         raise DecompositionIncomplete("zero-dimensional split depth exceeded")
     gb = I.groebner(localized_vars=u)
-    if not I.generators or gb.is_trivial():
+    if gb.is_trivial():
         return []
     D = gb.vector_space_dimension()  # raises NotZeroDimensional if infinite
     prov = Provenance(u_names=tuple(I.ring.names[i] for i in u), depth=_depth)
@@ -366,58 +361,66 @@ def zero_dim_decompose(
         return [
             PrimaryComponent(I, I, True, certificate="dimension-1", provenance=prov)
         ]
-    # the splits of the variables' own minimal polynomials, for the radical
-    variable_outcomes: List[FactorOutcome] = []
-    branches = _first_split(
-        I, _variable_candidates(I, u, gb.rest_vars, seed), D, variable_outcomes
-    )
-    R = _radical_zero_dim(I, variable_outcomes)
-    # R maximal makes I primary: then every form has one part and none splits
-    if branches is None and R is not I:
+
+    def split(c: _Candidate) -> List[PrimaryComponent]:
+        parts = c.outcome.parts
+        return _decompose_branches(
+            [ideal_sum(I, [c.back(p.poly) ** p.multiplicity]) for p in parts],
+            u, seed, _depth,
+        )
+
+    def leaf(prime: Ideal, maximality: MaximalityResult) -> List[PrimaryComponent]:
+        if maximality.status == MAXIMAL:
+            return [PrimaryComponent(I, prime, True, certificate=maximality.certificate,
+                                     provenance=prov)]
+        if maximality.status == NOT_MAXIMAL and maximality.witness is not None:
+            # a zero divisor h surfaced late: I = (I : h^inf) /\ (I + <h^m>),
+            # m the saturation exponent; split along it and keep going
+            h = maximality.witness
+            res = saturate(I, h)
+            if res.exponent:
+                comps = _decompose_branches(
+                    [res.ideal, ideal_sum(I, [h ** res.exponent])], u, seed, _depth
+                )
+                if comps:
+                    return comps
+        obligation = maximality.obligation or "maximality of the radical is unproven"
+        return [PrimaryComponent(I, prime, False, obligation=obligation, provenance=prov)]
+
+    walked: List[_Candidate] = []
+    for candidate in _variable_candidates(I, u, gb.rest_vars, seed):
+        if len(candidate.outcome.parts) >= 2:
+            return split(candidate)
+        walked.append(candidate)
+        if _primitive(candidate, D):
+            # the quotient is a field; the certificate walk over the
+            # variables walked stops here at the latest
+            return leaf(I, _maximality(walked, D))
+    # each variable's minimal polynomial is p^k, and R adjoins p for k > 1
+    # (exact in characteristic zero)
+    repeated = [
+        p.poly for p in (c.outcome.parts[0] for c in walked) if p.multiplicity > 1
+    ]
+    R = ideal_sum(I, repeated) if repeated else I
+    if R is not I:
+        # a decided check is final: R's full walk stops at the same variable
         maximality = is_maximal_zero_dim(R, u, seed, 0)
         if maximality.status == MAXIMAL:
-            return [
-                PrimaryComponent(
-                    I, R, True, certificate=maximality.certificate, provenance=prov
-                )
-            ]
-    if branches is None:
-        rng_seed = (seed << 8) ^ (_depth * 0x9E37) ^ 0x1F0
-        forms = _form_candidates(I, u, gb.rest_vars, seed, _SPLIT_FORMS, rng_seed)
-        branches = _first_split(I, forms, D, [])
-    if branches:
-        return _decompose_branches(branches, u, seed, _depth)
-    # leaf: no split found anywhere
-    maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
-    if maximality.status == MAXIMAL:
-        return [
-            PrimaryComponent(
-                I, R, True, certificate=maximality.certificate, provenance=prov
-            )
-        ]
-    if maximality.status == NOT_MAXIMAL and maximality.witness is not None:
-        # a zero divisor surfaced late; split along it and keep going
-        branches = _saturation_split(I, maximality.witness)
-        comps = _decompose_branches(branches, u, seed, _depth)
-        if comps:
-            return comps
-    return [
-        PrimaryComponent(
-            I,
-            R,
-            False,
-            obligation=maximality.obligation or "maximality of the radical is unproven",
-            provenance=prov,
-        )
-    ]
-
-
-def _saturation_split(I: Ideal, h: Polynomial) -> List[Ideal]:
-    """I = (I : h^inf) /\\ (I + <h^m>) with m the saturation exponent."""
-    res = saturate(I, h)
-    if res.exponent == 0:
-        return []
-    return [res.ideal, ideal_sum(I, [h ** res.exponent])]
+            return leaf(R, maximality)
+    for candidate in _form_candidates(
+        I, u, gb.rest_vars, seed, _SPLIT_FORMS, (_depth * 0x9E37) ^ 0x1F0
+    ):
+        if len(candidate.outcome.parts) >= 2:
+            return split(candidate)
+        if _primitive(candidate, D):
+            break
+    # leaf: no candidate splits I
+    if R is I:
+        forms = _form_candidates(I, u, gb.rest_vars, seed, _SPLIT_FORMS, 0xA11F)
+        maximality = _maximality(chain(walked, forms), D)
+    elif maximality.status == UNKNOWN:
+        maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
+    return leaf(R, maximality)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +440,8 @@ def is_maximal_zero_dim(
     polynomial is certified irreducible of degree equal to that dimension.
     NOT_MAXIMAL carries a witness zero divisor.  When the bounded
     irreducibility toolkit cannot decide, the result is UNKNOWN with the
-    open obligation.
+    open obligation.  The candidates are walked as by zero_dim_decompose's
+    leaf (_maximality): the variables, then ``linear_budget`` forms.
     """
     _require_rationals(I, "the maximality certificate")
     u = tuple(sorted(set(u)))
@@ -449,28 +453,13 @@ def is_maximal_zero_dim(
     D = gb.vector_space_dimension()
     if D == 1:
         return MaximalityResult(MAXIMAL, certificate="dimension-1")
-    obligations: List[str] = []
-    for label, m, v, outcome, back in chain(
-        _variable_candidates(I, u, gb.rest_vars, seed),
-        _form_candidates(I, u, gb.rest_vars, seed, linear_budget, (seed << 8) ^ 0xA11F),
-    ):
-        if _refutes_maximality(outcome):
-            p = outcome.parts[0].poly
-            if p.degree_in(v) == 0 and len(outcome.parts) > 1:
-                p = outcome.parts[1].poly
-            return MaximalityResult(NOT_MAXIMAL, witness=back(p))
-        part = outcome.parts[0]
-        if part.irreducible is True and m.degree_in(v) == D:
-            cert = f"primitive-element:{label};{part.certificate}"
-            return MaximalityResult(MAXIMAL, certificate=cert)
-        if part.irreducible is None:
-            obligations.append(outcome.obligation or f"factor {m}")
-    obligation = (
-        obligations[0]
-        if obligations
-        else "no primitive element found within the search budget"
+    return _maximality(
+        chain(
+            _variable_candidates(I, u, gb.rest_vars, seed),
+            _form_candidates(I, u, gb.rest_vars, seed, linear_budget, 0xA11F),
+        ),
+        D,
     )
-    return MaximalityResult(UNKNOWN, obligation=obligation)
 
 
 # ---------------------------------------------------------------------------

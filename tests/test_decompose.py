@@ -3,6 +3,7 @@
 import random
 import time
 import warnings
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -169,6 +170,8 @@ def test_zero_dim_certifies_the_radical_before_trying_forms(rxyz):
 
 def test_primary_ideal_tries_no_linear_form(rxy, monkeypatch):
     # <x^2, y^2> is primary to <x, y>, certified by the radical's variables
+    # (called directly: gtz_decompose reads this monomial ideal from its
+    # polarization and never reaches the zero-dimensional walk)
     calls = []
     of_form = decompose.minimal_polynomial_of_form
 
@@ -177,10 +180,72 @@ def test_primary_ideal_tries_no_linear_form(rxy, monkeypatch):
         return of_form(*args, **kwargs)
 
     monkeypatch.setattr(decompose, "minimal_polynomial_of_form", counted)
-    result = gtz_decompose(_ideal(rxy, "x^2", "y^2"))
-    [comp] = result.components
+    [comp] = zero_dim_decompose(_ideal(rxy, "x^2", "y^2"))
     assert comp.certified and comp.prime.equals(_ideal(rxy, "x", "y"))
     assert calls == []
+
+
+@pytest.mark.parametrize("u", [(), (0,)])
+def test_zero_dim_decompose_refuses_the_zero_ideal(rxy, u):
+    # the zero ideal is not zero-dimensional; [] would decompose the unit ideal
+    with pytest.raises(NotZeroDimensional):
+        zero_dim_decompose(Ideal(rxy, []), u=u)
+
+
+@pytest.mark.parametrize("names, gens, calls", [
+    (("x", "y"), ("x^2 + 1", "y - x"), 1),
+    (("x", "y", "z"), ("-2*y^2*z^2 + 3*x*y^2*z^2",
+                       "3*x^2*y*z^2 - 2*x^2*y^2*z + 2", "z^2 + x"), 2),
+    (("x", "y"), ("x^2 - 2", "y^2 - 3"), 4),
+    (("x", "y"), ("x^2 - 2", "y^2 - 2"), 5),
+], ids=["primitive-x", "primitive-y", "primitive-form", "form-split"])
+def test_zero_dim_walks_each_variable_once(names, gens, calls, monkeypatch):
+    # a leaf certifies maximality from the variables the split walk already
+    # eliminated; only the fixed first linear form, which both the split
+    # walk and the leaf's maximality walk try, is computed twice
+    ring = PolyRing(names, QQ)
+    seen = Counter()
+    inner = decompose.minimal_polynomial
+
+    def counted(I, v, u=()):
+        seen[tuple(map(str, I.generators)), v, I.ring.nvars] += 1
+        return inner(I, v, u)
+
+    monkeypatch.setattr(decompose, "minimal_polynomial", counted)
+    comps = zero_dim_decompose(_ideal(ring, *gens))
+    assert all(c.certified for c in comps)
+    assert sum(seen.values()) == calls
+    assert all(n == 1 for (_, _, nvars), n in seen.items() if nvars == ring.nvars)
+
+
+_lower_term = st.tuples(st.tuples(*[st.integers(0, 1)] * 3),
+                        st.sampled_from([-3, -2, -1, 1, 2, 3, 5]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nvars=st.integers(2, 3),
+       rows=st.lists(st.tuples(st.integers(2, 3),
+                               st.lists(_lower_term, min_size=1, max_size=3)),
+                     min_size=3, max_size=3))
+def test_zero_dim_leaf_certificates_are_the_maximality_certificates(nvars, rows):
+    # each leaf's certificate is the one is_maximal_zero_dim gives its prime
+    # with the split's form budget.  x_v^d plus terms of lower total degree:
+    # each variable has a pure power as its degrevlex leading term, so the
+    # ideal is zero-dimensional (d is 2 in three variables, to keep the
+    # dimension small)
+    ring = PolyRing(("x", "y", "z")[:nvars], QQ)
+    gens = []
+    for v, (d, lower) in enumerate(rows[:nvars]):
+        d = min(d, 5 - nvars)
+        g = ring.var(ring.names[v]) ** d
+        for e, c in lower:
+            if sum(e[:nvars]) < d:
+                g = g + ring.monomial(e[:nvars]).scale(c)
+        gens.append(g)
+    for c in zero_dim_decompose(Ideal(ring, gens)):
+        if c.certified:
+            maximality = is_maximal_zero_dim(c.prime, (), 0, decompose._SPLIT_FORMS)
+            assert maximality.certificate == c.certificate
 
 
 def test_is_maximal_zero_dim_verdicts(rxy):
