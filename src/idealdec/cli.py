@@ -20,13 +20,8 @@ import signal
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from .decompose import (
-    DecompositionError,
-    DecompositionIncomplete,
-    UNKNOWN,
-    gtz_decompose,
-    primality_check,
-)
+# modules, not names: a command runs only the modules it uses (see __init__)
+from . import decompose, hyperedge, indepsets, symmetry
 from .files import (
     FileFormatError,
     generator_lines,
@@ -36,19 +31,9 @@ from .files import (
     sha256_of_file,
 )
 from .groebner import GroebnerError
-from .hyperedge import (
-    HyperedgeError,
-    HyperedgeSpec,
-    all_maximal_minors_ideal,
-    build_hyperedge_ideal,
-    paper_3x12,
-    verify_structure,
-)
 from .ideals import IdealError, dimension
-from .indepsets import maximal_independent_sets, rank_independent_sets
 from .orders import OrderError, order_from_string
 from .rings import ParseError, PolyRing, format_poly, format_ring_header
-from .symmetry import SymmetryAction, SymmetryError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,20 +95,20 @@ def _read(path: str, reader: Callable[[str], _T]) -> _T:
         raise CliError(f"cannot read {path}: {ex.strerror or ex}")
 
 
-def _read_symmetries(path: str, ring: PolyRing) -> Tuple[SymmetryAction, ...]:
+def _read_symmetries(path: str, ring: PolyRing) -> Tuple[symmetry.SymmetryAction, ...]:
     """One action per line, written in cycle notation over variable names."""
-    actions: List[SymmetryAction] = []
+    actions: List[symmetry.SymmetryAction] = []
     for lineno, text in _read(path, read_content_lines):
         try:
             actions.append(
-                SymmetryAction.from_cycles(ring, text, label=f"line {lineno}")
+                symmetry.SymmetryAction.from_cycles(ring, text, label=f"line {lineno}")
             )
-        except SymmetryError as ex:
+        except symmetry.SymmetryError as ex:
             raise CliError(f"{path}: line {lineno}: {ex}")
     return tuple(actions)
 
 
-def _parse_spec_file(path: str) -> HyperedgeSpec:
+def _parse_spec_file(path: str) -> hyperedge.HyperedgeSpec:
     """A hyperedge spec file: ``rows``/``cols``/``letters`` and one
     ``hyperedge`` line per column set, with ``#`` comments."""
     name = os.path.splitext(os.path.basename(path))[0]
@@ -153,14 +138,14 @@ def _parse_spec_file(path: str) -> HyperedgeSpec:
             f"{path}: a spec needs rows, cols, letters and at least one hyperedge"
         )
     try:
-        return HyperedgeSpec(
+        return hyperedge.HyperedgeSpec(
             name=name,
             rows=rows,
             cols=cols,
             letters=letters,
             hyperedges=tuple(hyperedges),
         )
-    except HyperedgeError as ex:
+    except hyperedge.HyperedgeError as ex:
         raise CliError(f"{path}: {ex}")
 
 
@@ -200,14 +185,14 @@ def _emit(sink: Sequence[str], out: Optional[str]) -> None:
 
 def _cmd_build(args, sink: List[str]) -> int:
     if args.spec == "paper-3x12":
-        ideal = build_hyperedge_ideal(paper_3x12())
+        ideal = hyperedge.build_hyperedge_ideal(hyperedge.paper_3x12())
         comment = "paper-3x12"
     elif args.spec == "p1-minors":
-        ideal = all_maximal_minors_ideal(paper_3x12())
+        ideal = hyperedge.all_maximal_minors_ideal(hyperedge.paper_3x12())
         comment = "p1-minors"
     elif os.path.exists(args.spec):
         spec = _parse_spec_file(args.spec)
-        ideal = build_hyperedge_ideal(spec)
+        ideal = hyperedge.build_hyperedge_ideal(spec)
         comment = spec.name
     else:
         names = ", ".join(BUILTIN_SPECS)
@@ -243,11 +228,11 @@ def _cmd_indepsets(args, sink: List[str]) -> int:
         sink.append("sets 0")
         sink.append("# trivial ideal: no independent sets")
         return EXIT_OK
-    sets = maximal_independent_sets(I.groebner(), limit=args.limit)
+    sets = indepsets.maximal_independent_sets(I.groebner(), limit=args.limit)
     sink.append(f"dimension {dimension(I)}")
     sink.append(f"sets {len(sets)}")
     if args.score:
-        ranking = rank_independent_sets(I, [tuple(sorted(u)) for u in sets])
+        ranking = indepsets.rank_independent_sets(I, [tuple(sorted(u)) for u in sets])
         sink.extend(ranking.lines())
     else:
         for u in sets:
@@ -265,7 +250,7 @@ def _cmd_decompose(args, sink: List[str]) -> int:
     sink.append(f"# seed: {seed}")
     sink.append(f"# budget: {args.budget if args.budget is not None else 'none'}")
     sink.append(format_ring_header(I.ring))
-    result = gtz_decompose(I, seed=seed, budget=args.budget)
+    result = decompose.gtz_decompose(I, seed=seed, budget=args.budget)
     sink.append(f"components {len(result.components)}")
     sink.append(f"complete {'yes' if result.complete else 'no'}")
     for k, comp in enumerate(result.components, start=1):
@@ -290,7 +275,7 @@ def _cmd_decompose(args, sink: List[str]) -> int:
 def _cmd_primality(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
     I = _read(args.ideal, read_ideal)
-    symmetries: Tuple[SymmetryAction, ...] = ()
+    symmetries: Tuple[symmetry.SymmetryAction, ...] = ()
     if args.symmetry_file:
         symmetries = _read_symmetries(args.symmetry_file, I.ring)
     sink.append(SCHEMA_LINE)
@@ -300,7 +285,7 @@ def _cmd_primality(args, sink: List[str]) -> int:
     sink.append(f"# budget: {args.budget if args.budget is not None else 'none'}")
     sink.append(f"# symmetries: {len(symmetries)}")
     sink.append(format_ring_header(I.ring))
-    verdict = primality_check(
+    verdict = decompose.primality_check(
         I, symmetries=symmetries, seed=seed, budget=args.budget
     )
     sink.append(f"verdict {verdict.status}")
@@ -310,14 +295,14 @@ def _cmd_primality(args, sink: List[str]) -> int:
         sink.append(f"witness {format_poly(verdict.witness)}")
     if verdict.obligation:
         sink.append(f"obligation {verdict.obligation}")
-    return EXIT_UNKNOWN if verdict.status == UNKNOWN else EXIT_OK
+    return EXIT_UNKNOWN if verdict.status == decompose.UNKNOWN else EXIT_OK
 
 
 def _cmd_verify(args, sink: List[str]) -> int:
     if args.against != "paper-3x12":
         raise CliError(f"unknown reference {args.against!r} (only paper-3x12)")
     ring, polys = _read(args.data, read_generators)
-    spec = paper_3x12()
+    spec = hyperedge.paper_3x12()
     if tuple(ring.names) != tuple(spec.ring().names):
         raise CliError(
             "the data file must use the paper-3x12 ring "
@@ -328,7 +313,7 @@ def _cmd_verify(args, sink: List[str]) -> int:
     sink.append(_input_line(args.data))
     sink.append(f"# against: {args.against}")
     sink.append(format_ring_header(ring))
-    report = verify_structure(polys, spec)
+    report = hyperedge.verify_structure(polys, spec)
     sink.extend(report.lines())
     return EXIT_OK if report.ok else EXIT_ERROR
 
@@ -454,13 +439,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    except DecompositionIncomplete as ex:
+    except (ParseError, FileFormatError, OrderError, IdealError,
+            GroebnerError) as ex:
+        print(f"idealdec: error: {ex}", file=sys.stderr)
+        return EXIT_ERROR
+    # an except clause reads its classes only when an exception reaches it,
+    # so the errors above load none of the modules below
+    except decompose.DecompositionIncomplete as ex:
         # a depth or budget overrun: unfinished, not an input error
         print(f"idealdec: incomplete: {ex}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (ParseError, FileFormatError, OrderError, SymmetryError,
-            HyperedgeError, IdealError, GroebnerError,
-            DecompositionError) as ex:
+    except (symmetry.SymmetryError, hyperedge.HyperedgeError,
+            decompose.DecompositionError) as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -27,8 +27,9 @@ minimal polynomial: it stops at a split, or at a variable that is a
 certified primitive element.  Between the variables and the forms it tries
 the variables-only certificate of the radical, so forms run only on an
 ideal not yet known to be primary.  A leaf's maximality certificate is the
-loop of ``is_maximal_zero_dim`` run on the variables already walked and
-then on its own seeded forms, so no variable is eliminated twice.
+loop of ``is_maximal_zero_dim`` run on the variables and the fixed first
+form already walked, then on its own seeded forms, so no variable or form
+is eliminated twice.
 
 Decisions that depend on polynomial factorization go through the bounded
 certificate toolkit in factorize; whenever that toolkit cannot decide, the
@@ -244,22 +245,15 @@ def _variable_candidates(
         )
 
 
-def _form_candidates(
-    I: Ideal,
-    u: Tuple[int, ...],
-    rest: Sequence[int],
-    seed: int,
-    linear_budget: int,
-    salt: int,
-) -> Iterator[_Candidate]:
-    """``linear_budget`` linear forms in ``rest`` as candidates, lazily: the
-    first is sum((j + 1) x_rest[j]), the others have coefficients in
-    [-5, 5] drawn from ``(seed << 8) ^ salt``; v is the tag that
-    minimal_polynomial_of_form adjoins."""
+def _linear_forms(
+    nvars: int, rest: Sequence[int], seed: int, linear_budget: int, salt: int
+) -> Iterator[List[int]]:
+    """The coefficients of ``linear_budget`` linear forms in ``rest``: the
+    first is sum((j + 1) x_rest[j]) for every salt, the others have
+    coefficients in [-5, 5] drawn from ``(seed << 8) ^ salt``."""
     rng = random.Random((seed << 8) ^ salt)
-    tag = I.ring.nvars
     for trial in range(linear_budget):
-        coeffs = [0] * tag
+        coeffs = [0] * nvars
         if trial == 0:
             for j, v in enumerate(rest):
                 coeffs[v] = j + 1
@@ -267,6 +261,16 @@ def _form_candidates(
             while not any(coeffs):
                 for v in rest:
                     coeffs[v] = rng.randint(-5, 5)
+        yield coeffs
+
+
+def _form_candidates(
+    I: Ideal, u: Tuple[int, ...], seed: int, forms: Iterable[List[int]]
+) -> Iterator[_Candidate]:
+    """The linear forms of coefficients ``forms`` as candidates, lazily; v
+    is the tag that minimal_polynomial_of_form adjoins."""
+    tag = I.ring.nvars
+    for coeffs in forms:
         m, form = minimal_polynomial_of_form(I, coeffs, u)
 
         def back(p: Polynomial, form=inject(form, m.ring)) -> Polynomial:
@@ -344,9 +348,9 @@ def zero_dim_decompose(
     I, R's variables may certify it maximal (I is then primary, and no form
     can split it) before any form is tried.  A leaf that no candidate
     splits is certified through R's maximality certificate, which for a
-    radical I goes on from the variables already walked, or is reported
-    uncertified with the unresolved obligation.  The zero ideal, which is
-    not zero-dimensional, raises NotZeroDimensional.
+    radical I goes on from the variables and the first form already
+    walked, or is reported uncertified with the unresolved obligation.  The
+    zero ideal, which is not zero-dimensional, raises NotZeroDimensional.
     """
     _require_rationals(I, "zero-dimensional decomposition")
     u = tuple(sorted(set(u)))
@@ -407,17 +411,25 @@ def zero_dim_decompose(
         maximality = is_maximal_zero_dim(R, u, seed, 0)
         if maximality.status == MAXIMAL:
             return leaf(R, maximality)
-    for candidate in _form_candidates(
-        I, u, gb.rest_vars, seed, _SPLIT_FORMS, (_depth * 0x9E37) ^ 0x1F0
-    ):
+    tried: List[_Candidate] = []
+    forms = _linear_forms(
+        I.ring.nvars, gb.rest_vars, seed, _SPLIT_FORMS, (_depth * 0x9E37) ^ 0x1F0
+    )
+    for candidate in _form_candidates(I, u, seed, forms):
         if len(candidate.outcome.parts) >= 2:
             return split(candidate)
+        tried.append(candidate)
         if _primitive(candidate, D):
             break
     # leaf: no candidate splits I
     if R is I:
-        forms = _form_candidates(I, u, gb.rest_vars, seed, _SPLIT_FORMS, 0xA11F)
-        maximality = _maximality(chain(walked, forms), D)
+        # every salt's first form is sum((j + 1) x_j), which the split walk
+        # has tried: the leaf's walk reuses that candidate
+        forms = _linear_forms(I.ring.nvars, gb.rest_vars, seed, _SPLIT_FORMS, 0xA11F)
+        next(forms)
+        maximality = _maximality(
+            chain(walked, tried[:1], _form_candidates(I, u, seed, forms)), D
+        )
     elif maximality.status == UNKNOWN:
         maximality = is_maximal_zero_dim(R, u, seed, _SPLIT_FORMS)
     return leaf(R, maximality)
@@ -456,7 +468,8 @@ def is_maximal_zero_dim(
     return _maximality(
         chain(
             _variable_candidates(I, u, gb.rest_vars, seed),
-            _form_candidates(I, u, gb.rest_vars, seed, linear_budget, 0xA11F),
+            _form_candidates(I, u, seed, _linear_forms(
+                I.ring.nvars, gb.rest_vars, seed, linear_budget, 0xA11F)),
         ),
         D,
     )

@@ -454,13 +454,13 @@ def test_huge_composite_moduli_are_refused(capsys, gens_file, modulus, message):
 def test_decompose_incomplete_exit_code(capsys, gens_file, monkeypatch):
     """A depth or budget overrun is an unfinished decomposition (exit 2),
     not an input error (exit 1)."""
-    import idealdec.cli as cli_mod
+    import idealdec.decompose as decompose_mod
     from idealdec.decompose import DecompositionIncomplete
 
     def overrun(I, **kwargs):
         raise DecompositionIncomplete("decomposition recursion depth exceeded")
 
-    monkeypatch.setattr(cli_mod, "gtz_decompose", overrun)
+    monkeypatch.setattr(decompose_mod, "gtz_decompose", overrun)
     code, out, err = run(capsys, "decompose", gens_file(XYXZ))
     assert code == EXIT_UNKNOWN
     assert "recursion depth exceeded" in err
@@ -523,7 +523,7 @@ def test_primality_prime_report(capsys, gens_file):
 
 
 def test_primality_unknown_exit_code(capsys, gens_file, monkeypatch):
-    import idealdec.cli as cli_mod
+    import idealdec.decompose as decompose_mod
     from idealdec.decompose import PrimalityVerdict, UNKNOWN
 
     def fake_check(I, **kwargs):
@@ -531,7 +531,7 @@ def test_primality_unknown_exit_code(capsys, gens_file, monkeypatch):
             status=UNKNOWN, witness=None, u_names=(), details=("budget",)
         )
 
-    monkeypatch.setattr(cli_mod, "primality_check", fake_check)
+    monkeypatch.setattr(decompose_mod, "primality_check", fake_check)
     path = gens_file(XYXZ)
     code, out, err = run(capsys, "primality", path)
     assert code == EXIT_UNKNOWN
@@ -845,6 +845,48 @@ def test_runs_without_optional_packages(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0, 0]", done.stderr
     assert "verdict PRIME" in (tmp_path / "report-primality").read_text()
+
+
+def test_a_command_runs_only_the_modules_it_uses(tmp_path):
+    """In a fresh interpreter ``import idealdec`` runs no submodule, a
+    groebner run none of the decomposition stack, and a decompose run not
+    the hyperedge constructors.  A registered submodule whose body has not
+    run is still in sys.modules, as a LazyLoader subclass of ModuleType."""
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "cubic.gens"
+    path.write_text(CUBIC)
+    script = (
+        "import sys, types\n"
+        "def ran():\n"
+        "    return sorted(n for n, m in sys.modules.items()\n"
+        "                  if n.startswith('idealdec.') and type(m) is types.ModuleType)\n"
+        "import idealdec\n"
+        "print(ran())\n"
+        "from idealdec.cli import main\n"
+        "for command in ('groebner', 'decompose'):\n"
+        "    assert main([command, sys.argv[1], '--out', sys.argv[2] + command]) == 0\n"
+        "    print(ran())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "report-")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    after_import, after_groebner, after_decompose = (
+        ast.literal_eval(line) for line in done.stdout.splitlines())
+    assert after_import == []
+    assert "idealdec.groebner" in after_groebner
+    unused = {f"idealdec.{m}" for m in
+              ("decompose", "factorize", "hyperedge", "indepsets", "symmetry")}
+    assert unused.isdisjoint(after_groebner)
+    assert "idealdec.decompose" in after_decompose
+    assert "idealdec.hyperedge" not in after_decompose
 
 
 def test_python_dash_m_runs_the_cli():
