@@ -41,10 +41,11 @@ _EXPORTS = {
                  "PrimalityVerdict PrimaryComponent Provenance apply_automorphism "
                  "coefficient_orbits gtz_decompose is_maximal_zero_dim "
                  "minimal_polynomial primality_check stabilizes zero_dim_decompose",
-    "hyperedge": "GeneratorStructureReport HyperedgeError HyperedgeSpec "
-                 "admissible_partitions all_maximal_minors_ideal "
+    "hyperedge": "HyperedgeError HyperedgeSpec all_maximal_minors_ideal "
                  "build_hyperedge_ideal minor paper_3x12 paper_ring "
-                 "partition_rule_monomials symmetry_generators verify_structure",
+                 "symmetry_generators",
+    "verify": "GeneratorStructureReport admissible_partitions "
+              "partition_rule_monomials verify_structure",
     "files": "FileFormatError read_generators read_ideal write_generators",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

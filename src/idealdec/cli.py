@@ -21,19 +21,17 @@ import sys
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 # modules, not names: a command runs only the modules it uses (see __init__)
-from . import decompose, hyperedge, indepsets, symmetry
+from . import decompose, groebner, hyperedge, indepsets, symmetry, verify
 from .files import (
     FileFormatError,
     generator_lines,
     read_content_lines,
-    read_generators,
+    read_generators_and_digest,
     read_ideal,
-    sha256_of_file,
 )
-from .groebner import GroebnerError
-from .ideals import IdealError, dimension
+from .ideals import Ideal, IdealError, dimension
 from .orders import OrderError, order_from_string
-from .rings import ParseError, PolyRing, format_poly, format_ring_header
+from .rings import ParseError, Polynomial, PolyRing, format_poly, format_ring_header
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -80,10 +78,6 @@ def _resolve_seed(value: Optional[int]) -> int:
         raise CliError(f"{SEED_ENV} must be an integer, got {env!r}")
 
 
-def _input_line(path: str) -> str:
-    return f"# input: {os.path.basename(path)} sha256={sha256_of_file(path)}"
-
-
 _T = TypeVar("_T")
 
 
@@ -93,6 +87,13 @@ def _read(path: str, reader: Callable[[str], _T]) -> _T:
         return reader(path)
     except OSError as ex:
         raise CliError(f"cannot read {path}: {ex.strerror or ex}")
+
+
+def _read_input(path: str) -> Tuple[PolyRing, List[Polynomial], str]:
+    """The ring and generators of a generator file, and its ``# input:``
+    line, whose digest is of the bytes that were parsed."""
+    ring, polys, digest = _read(path, read_generators_and_digest)
+    return ring, polys, f"# input: {os.path.basename(path)} sha256={digest}"
 
 
 def _read_symmetries(path: str, ring: PolyRing) -> Tuple[symmetry.SymmetryAction, ...]:
@@ -218,10 +219,11 @@ def _cmd_groebner(args, sink: List[str]) -> int:
 
 
 def _cmd_indepsets(args, sink: List[str]) -> int:
-    I = _read(args.ideal, read_ideal)
+    ring, polys, input_line = _read_input(args.ideal)
+    I = Ideal(ring, polys)
     sink.append(SCHEMA_LINE)
     sink.append("# command: indepsets")
-    sink.append(_input_line(args.ideal))
+    sink.append(input_line)
     sink.append(f"# limit: {args.limit if args.limit is not None else 'none'}")
     sink.append(format_ring_header(I.ring))
     if I.is_trivial():
@@ -243,10 +245,11 @@ def _cmd_indepsets(args, sink: List[str]) -> int:
 
 def _cmd_decompose(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
-    I = _read(args.ideal, read_ideal)
+    ring, polys, input_line = _read_input(args.ideal)
+    I = Ideal(ring, polys)
     sink.append(SCHEMA_LINE)
     sink.append("# command: decompose")
-    sink.append(_input_line(args.ideal))
+    sink.append(input_line)
     sink.append(f"# seed: {seed}")
     sink.append(f"# budget: {args.budget if args.budget is not None else 'none'}")
     sink.append(format_ring_header(I.ring))
@@ -274,13 +277,14 @@ def _cmd_decompose(args, sink: List[str]) -> int:
 
 def _cmd_primality(args, sink: List[str]) -> int:
     seed = _resolve_seed(args.seed)
-    I = _read(args.ideal, read_ideal)
+    ring, polys, input_line = _read_input(args.ideal)
+    I = Ideal(ring, polys)
     symmetries: Tuple[symmetry.SymmetryAction, ...] = ()
     if args.symmetry_file:
         symmetries = _read_symmetries(args.symmetry_file, I.ring)
     sink.append(SCHEMA_LINE)
     sink.append("# command: primality")
-    sink.append(_input_line(args.ideal))
+    sink.append(input_line)
     sink.append(f"# seed: {seed}")
     sink.append(f"# budget: {args.budget if args.budget is not None else 'none'}")
     sink.append(f"# symmetries: {len(symmetries)}")
@@ -301,7 +305,7 @@ def _cmd_primality(args, sink: List[str]) -> int:
 def _cmd_verify(args, sink: List[str]) -> int:
     if args.against != "paper-3x12":
         raise CliError(f"unknown reference {args.against!r} (only paper-3x12)")
-    ring, polys = _read(args.data, read_generators)
+    ring, polys, input_line = _read_input(args.data)
     spec = hyperedge.paper_3x12()
     if tuple(ring.names) != tuple(spec.ring().names):
         raise CliError(
@@ -310,10 +314,10 @@ def _cmd_verify(args, sink: List[str]) -> int:
         )
     sink.append(SCHEMA_LINE)
     sink.append("# command: verify")
-    sink.append(_input_line(args.data))
+    sink.append(input_line)
     sink.append(f"# against: {args.against}")
     sink.append(format_ring_header(ring))
-    report = hyperedge.verify_structure(polys, spec)
+    report = verify.verify_structure(polys, spec)
     sink.extend(report.lines())
     return EXIT_OK if report.ok else EXIT_ERROR
 
@@ -439,8 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    except (ParseError, FileFormatError, OrderError, IdealError,
-            GroebnerError) as ex:
+    except (ParseError, FileFormatError, OrderError, IdealError) as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
     # an except clause reads its classes only when an exception reaches it,
@@ -449,8 +452,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a depth or budget overrun: unfinished, not an input error
         print(f"idealdec: incomplete: {ex}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (symmetry.SymmetryError, hyperedge.HyperedgeError,
-            decompose.DecompositionError) as ex:
+    except (groebner.GroebnerError, symmetry.SymmetryError,
+            hyperedge.HyperedgeError, decompose.DecompositionError) as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -46,11 +46,15 @@ def _content_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, text
 
 
-def _text_lines(path: str) -> io.StringIO:
-    """The lines of a UTF-8 text file, with universal newlines.  Bytes that
-    are not UTF-8 raise FileFormatError naming the path and the line."""
+def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _text_lines(path: str, data: bytes) -> io.StringIO:
+    """The lines of ``data``, the bytes of the UTF-8 text file ``path``,
+    with universal newlines.  Bytes that are not UTF-8 raise
+    FileFormatError naming the path and the line."""
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as ex:
@@ -64,7 +68,7 @@ def _text_lines(path: str) -> io.StringIO:
 def read_content_lines(path: str) -> List[Tuple[int, str]]:
     """(line number from 1, stripped text) for each line of a UTF-8 text
     file that is not blank once its ``#`` comment is cut."""
-    return list(_content_lines(_text_lines(path)))
+    return list(_content_lines(_text_lines(path, _read_bytes(path))))
 
 
 def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomial]]:
@@ -84,7 +88,15 @@ def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomi
 
 
 def read_generators(path: str) -> Tuple[PolyRing, List[Polynomial]]:
-    return parse_generator_lines(_text_lines(path))
+    return parse_generator_lines(_text_lines(path, _read_bytes(path)))
+
+
+def read_generators_and_digest(path: str) -> Tuple[PolyRing, List[Polynomial], str]:
+    """The ring and generators of a generator file, and the sha256 hex
+    digest of the bytes they were parsed from (the file is read once)."""
+    data = _read_bytes(path)
+    ring, polys = parse_generator_lines(_text_lines(path, data))
+    return ring, polys, hashlib.sha256(data).hexdigest()
 
 
 def read_ideal(path: str) -> Ideal:
@@ -111,10 +123,3 @@ def write_generators(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
-
-def sha256_of_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

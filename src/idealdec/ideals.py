@@ -43,10 +43,11 @@ from dataclasses import dataclass
 from operator import le
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groebner import Exponents, GroebnerBasis, buchberger
+# modules, not names: an ideal that is only built and written runs neither,
+# and only quotient and the saturation coefficients run polygcd (see __init__)
+from . import groebner, polygcd
 from .orders import DEGREVLEX, MonomialOrder, block_order, degrevlex_order
-from .polygcd import exact_divide, normalize_assoc
-from .rings import Polynomial, PolyRing, RingError, adjoin, inject, project
+from .rings import Exponents, Polynomial, PolyRing, RingError, adjoin, inject, project
 
 
 class IdealError(ValueError):
@@ -71,7 +72,7 @@ class Ideal:
         self.generators = tuple(gens)
         # created on first use: most ideals (components, saturation results)
         # are built, read and kept without ever filling it
-        self._gb_cache: Optional[Dict[tuple, GroebnerBasis]] = None
+        self._gb_cache: Optional[Dict[tuple, groebner.GroebnerBasis]] = None
 
     @classmethod
     def parse(cls, ring: PolyRing, texts: Iterable[str]) -> "Ideal":
@@ -81,7 +82,7 @@ class Ideal:
         self,
         order: Optional[MonomialOrder] = None,
         localized_vars: Optional[Iterable[int]] = None,
-    ) -> GroebnerBasis:
+    ) -> groebner.GroebnerBasis:
         if order is None:
             order = degrevlex_order()
         loc = frozenset(localized_vars or ()) or None
@@ -91,9 +92,9 @@ class Ideal:
         got = self._gb_cache.get(cache_key)
         if got is None:
             if not self.generators:
-                got = GroebnerBasis(self.ring, order, (), loc)
+                got = groebner.GroebnerBasis(self.ring, order, (), loc)
             else:
-                got = buchberger(self.generators, order, loc)
+                got = groebner.buchberger(self.generators, order, loc)
             self._gb_cache[cache_key] = got
         return got
 
@@ -206,7 +207,7 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
     if I.is_zero():
         return Ideal(I.ring, [])
     W = intersect(I, Ideal(I.ring, [f]))
-    return Ideal(I.ring, [exact_divide(w, f) for w in W.generators])
+    return Ideal(I.ring, [polygcd.exact_divide(w, f) for w in W.generators])
 
 
 def saturation_exponent(I: Ideal, h: Polynomial, S: Ideal) -> int:
@@ -248,7 +249,7 @@ def _saturate_by_variables(I: Ideal, variables: frozenset) -> Ideal:
     for x in sorted(variables):
         order = block_order([(tuple(i for i in range(ring.nvars) if i != x) + (x,),
                                DEGREVLEX)])
-        G = buchberger(current.generators, order)
+        G = groebner.buchberger(current.generators, order)
         contents = [e[x] for e in G.lead_exps()]
         if any(contents):
             current = Ideal(ring, [
@@ -302,7 +303,7 @@ def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
         return Ideal(ring, [])
     rest = tuple(i for i in range(ring.nvars) if i not in set(elim))
     blocks = [(elim, DEGREVLEX)] + ([(rest, DEGREVLEX)] if rest else [])
-    G = buchberger(I.generators, block_order(blocks))
+    G = groebner.buchberger(I.generators, block_order(blocks))
     # in an elimination order an element whose leading monomial is free of
     # the eliminated variables is free of them, so only those are built
     picked = [G.element(k) for k, e in enumerate(G.lead_exps())
@@ -318,7 +319,7 @@ def sort_saturation_coefficients(
     seen = {}
     for pos, c in enumerate(cs):
         if not c.is_constant():
-            seen.setdefault(normalize_assoc(c), pos)
+            seen.setdefault(polygcd.normalize_assoc(c), pos)
     return sorted(seen, key=lambda c: (c.total_degree(), c.num_terms(), seen[c]))
 
 

@@ -9,13 +9,9 @@ from typing import List, Tuple
 import pytest
 
 from idealdec.domains import QQ
-from idealdec.hyperedge import (
-    admissible_partitions,
-    build_hyperedge_ideal,
-    paper_3x12,
-    partition_rule_monomials,
-)
+from idealdec.hyperedge import build_hyperedge_ideal, paper_3x12
 from idealdec.rings import Polynomial, PolyRing
+from idealdec.verify import admissible_partitions, partition_rule_monomials
 
 
 @pytest.fixture

@@ -29,9 +29,7 @@ from idealdec.hyperedge import (
     build_hyperedge_ideal,
     maps_generators_to_signed_generators,
     paper_3x12,
-    partition_rule_monomials,
     symmetry_generators,
-    verify_structure,
 )
 from idealdec.ideals import Ideal, dimension, intersect, quotient, saturate
 from idealdec.indepsets import maximal_independent_sets, rank_independent_sets
@@ -39,6 +37,7 @@ from idealdec.orders import degrevlex_order
 from idealdec.polygcd import normalize_assoc
 from idealdec.rings import PolyRing
 from idealdec.symmetry import SymmetryAction, generate_group
+from idealdec.verify import partition_rule_monomials, verify_structure
 
 from conftest import build_synthetic_p2_like
 

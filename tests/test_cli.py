@@ -79,6 +79,48 @@ def test_build_from_spec_file(capsys, tmp_path):
     assert len(lines) == 4
 
 
+# sha256 of the stdout of ``idealdec build NAME``, recorded before minors
+# were built from their Leibniz terms
+BUILD_SHA256 = {
+    "paper-3x12": "791cceb0e0620e414b0e7628383724570b1cb2ba3ac44b98e547db13a8425e2b",
+    "p1-minors": "cdf4fa0c17010afcdd84f58c871188eb11ef6d0ada65576b49c08be3b1d9ed33",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_SHA256))
+def test_build_builtin_golden(capsys, name):
+    import hashlib
+
+    code, out, err = run(capsys, "build", name)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BUILD_SHA256[name]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("cols 3\nletters x,x\nhyperedge 1,2\n", "duplicate variable name 'x1'"),
+    ("cols 11\nletters x,x1\nhyperedge 1,2\n", "duplicate variable name 'x11'"),
+    ("cols 3\nletters x,y\nhyperedge 1,1\n", "hyperedge (1, 1) repeats a column"),
+], ids=["letters-x-x", "letters-x-x1-cols-11", "hyperedge-1-1"])
+def test_build_refuses_a_spec_without_distinct_entries(capsys, tmp_path, lines, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("rows 2\n" + lines)
+    code, out, err = run(capsys, "build", str(spec))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"idealdec: error: {spec}: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_build_deduplicates_minors_up_to_sign(capsys, tmp_path):
+    spec = tmp_path / "signs.spec"
+    spec.write_text("rows 2\ncols 3\nletters x,y\n"
+                    "hyperedge 2,1\nhyperedge 1,2\nhyperedge 1,2,3\n")
+    code, out, err = run(capsys, "build", str(spec))
+    assert code == EXIT_OK
+    # the first minor on each column set, with its sign
+    assert out.splitlines()[2:] == [
+        "-x1*y2 + x2*y1", "x1*y3 - x3*y1", "x2*y3 - x3*y2"]
+
+
 def test_build_bad_spec_file_is_line_numbered(capsys, tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("name t\nrows two\n")
@@ -849,9 +891,11 @@ def test_runs_without_optional_packages(tmp_path):
 
 def test_a_command_runs_only_the_modules_it_uses(tmp_path):
     """In a fresh interpreter ``import idealdec`` runs no submodule, a
-    groebner run none of the decomposition stack, and a decompose run not
-    the hyperedge constructors.  A registered submodule whose body has not
-    run is still in sys.modules, as a LazyLoader subclass of ModuleType."""
+    groebner run none of the decomposition stack and no gcd code, a
+    decompose run not the hyperedge constructors, and a build from a spec
+    neither the Groebner engine, the symmetry code, the gcd code, the
+    verifier nor the decomposition stack.  A registered submodule whose body has not run is
+    still in sys.modules, as a LazyLoader subclass of ModuleType."""
     import ast
     import os
     import subprocess
@@ -859,6 +903,8 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path):
 
     path = tmp_path / "cubic.gens"
     path.write_text(CUBIC)
+    spec = tmp_path / "tiny.spec"
+    spec.write_text("rows 2\ncols 3\nletters x,y\nhyperedge 1,2,3\n")
     script = (
         "import sys, types\n"
         "def ran():\n"
@@ -867,26 +913,61 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path):
         "import idealdec\n"
         "print(ran())\n"
         "from idealdec.cli import main\n"
-        "for command in ('groebner', 'decompose'):\n"
-        "    assert main([command, sys.argv[1], '--out', sys.argv[2] + command]) == 0\n"
+        "for command, source in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+        "    assert main([command, source, '--out', sys.argv[1] + command]) == 0\n"
         "    print(ran())\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(path), str(tmp_path / "report-")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    after_import, after_groebner, after_decompose = (
-        ast.literal_eval(line) for line in done.stdout.splitlines())
-    assert after_import == []
+
+    def modules_run(*commands):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "report-"), *commands],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return [set(ast.literal_eval(line)) for line in done.stdout.splitlines()]
+
+    after_import, after_groebner, after_decompose = modules_run(
+        "groebner", str(path), "decompose", str(path))
+    assert after_import == set()
     assert "idealdec.groebner" in after_groebner
     unused = {f"idealdec.{m}" for m in
-              ("decompose", "factorize", "hyperedge", "indepsets", "symmetry")}
+              ("decompose", "factorize", "hyperedge", "indepsets", "polygcd",
+               "symmetry", "verify")}
     assert unused.isdisjoint(after_groebner)
     assert "idealdec.decompose" in after_decompose
     assert "idealdec.hyperedge" not in after_decompose
+
+    _, after_build = modules_run("build", str(spec))
+    assert "idealdec.hyperedge" in after_build
+    unused = {f"idealdec.{m}" for m in
+              ("decompose", "factorize", "groebner", "indepsets", "polygcd",
+               "symmetry", "verify")}
+    assert unused.isdisjoint(after_build)
+
+
+def test_decompose_reads_its_input_once(capsys, gens_file, monkeypatch):
+    """The digest on the ``# input:`` line is of the bytes that were parsed:
+    the input file is opened once."""
+    import builtins
+    import hashlib
+
+    path = gens_file(XYXZ)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, err = run(capsys, "decompose", path)
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    assert opened.count(path) == 1
+    digest = hashlib.sha256(XYXZ.encode("utf-8")).hexdigest()
+    assert f"# input: input.gens sha256={digest}" in out.splitlines()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -8,8 +8,8 @@ from idealdec.files import (
     generator_lines,
     parse_generator_lines,
     read_generators,
+    read_generators_and_digest,
     read_ideal,
-    sha256_of_file,
     write_generators,
 )
 from idealdec.rings import PolyRing
@@ -108,4 +108,6 @@ def test_sha256_matches_hashlib(tmp_path):
 
     path = tmp_path / "h.gens"
     path.write_bytes(b"ring Q[x]\nx\n")
-    assert sha256_of_file(path) == hashlib.sha256(b"ring Q[x]\nx\n").hexdigest()
+    ring, polys, digest = read_generators_and_digest(path)
+    assert (ring.names, [str(p) for p in polys]) == (("x",), ["x"])
+    assert digest == hashlib.sha256(b"ring Q[x]\nx\n").hexdigest()

@@ -5,22 +5,24 @@ from fractions import Fraction
 import pytest
 
 from idealdec.hyperedge import (
-    GeneratorCheck,
     HyperedgeError,
     HyperedgeSpec,
-    admissible_partitions,
     all_maximal_minors_ideal,
     build_hyperedge_ideal,
     maps_generators_to_signed_generators,
     minor,
     paper_3x12,
     paper_ring,
-    partition_rule_monomials,
     symmetry_generators,
-    verify_structure,
 )
 from idealdec.rings import Polynomial
 from idealdec.symmetry import SymmetryAction, generate_group
+from idealdec.verify import (
+    GeneratorCheck,
+    admissible_partitions,
+    partition_rule_monomials,
+    verify_structure,
+)
 
 from conftest import build_synthetic_p2_like
 
@@ -85,6 +87,27 @@ def test_oversized_hyperedge_expands_to_subsets():
     )
     I = build_hyperedge_ideal(spec)
     assert len(I.generators) == 3  # C(3, 2) column pairs
+
+
+@pytest.mark.parametrize("cols, letters, hyperedge, message", [
+    (3, ("x", "x"), (1, 2), "duplicate variable name 'x1'"),
+    (11, ("x", "x1"), (1, 2), "duplicate variable name 'x11'"),
+    (3, ("x", "y"), (1, 1), "repeats a column"),
+], ids=["letters-x-x", "letters-x-x1-cols-11", "hyperedge-1-1"])
+def test_spec_refuses_repeated_entries(cols, letters, hyperedge, message):
+    with pytest.raises(HyperedgeError, match=message):
+        HyperedgeSpec(name="bad", rows=2, cols=cols, letters=letters,
+                      hyperedges=(hyperedge,))
+
+
+def test_minors_are_deduplicated_up_to_sign():
+    spec = HyperedgeSpec(
+        name="signs", rows=2, cols=3, letters=("x", "y"),
+        hyperedges=((1, 2), (2, 1), (1, 2, 3)),
+    )
+    gens = build_hyperedge_ideal(spec).generators
+    assert [str(g) for g in gens] == [
+        "x1*y2 - x2*y1", "x1*y3 - x3*y1", "x2*y3 - x3*y2"]
 
 
 # -- symmetries ---------------------------------------------------------------

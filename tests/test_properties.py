@@ -8,6 +8,8 @@
 * ``split_minimal_polynomial`` of a product of known factors in Q[y][x],
   repeated and rational ones included, gives squarefree, pairwise coprime
   parts p_i with prod p_i^{m_i} / m free of x;
+* ``minor`` of a 1x1 to 4x4 matrix of polynomials in Q[x,y,z], its columns
+  in any order, equals ``sympy.Matrix.det``;
 * ``ring.parse(str(f)) == f`` over Q and GF(7), the zero polynomial
   included;
 * random text fed to the parser raises nothing but ``ParseError`` or
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from idealdec.cli import EXIT_ERROR, EXIT_OK, main
 from idealdec.domains import QQ, DomainError, PrimeField
 from idealdec.factorize import factor_rational_univariate, split_minimal_polynomial
+from idealdec.hyperedge import minor
 from idealdec.indepsets import minimal_hitting_sets
 from idealdec.polygcd import normalize_assoc, poly_gcd
 from idealdec.rings import ParseError, PolyRing
@@ -100,6 +103,40 @@ def test_poly_gcd_matches_sympy(case):
     f, g = a * c, b * c
     theirs = sympy.gcd(_to_sympy(ring, f), _to_sympy(ring, g))
     assert normalize_assoc(poly_gcd(f, g)) == normalize_assoc(_from_sympy(ring, theirs))
+
+
+# -- minors -------------------------------------------------------------------
+
+_RXYZ = PolyRing(NAMES, QQ)
+_coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+# the ring's own variables and one carry the domain's one as coefficient
+_entry = st.one_of(
+    st.sampled_from([*_RXYZ.gens(), _RXYZ.one, _RXYZ.zero]),
+    _terms(3, 2, 3, _coeffs).map(_RXYZ.poly),
+)
+
+
+@st.composite
+def _square(draw):
+    """An n x n matrix of polynomials, 1 <= n <= 4, and an order of its
+    columns."""
+    n = draw(st.integers(1, 4))
+    matrix = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    return matrix, draw(st.permutations(range(1, n + 1)))
+
+
+@_settings
+@given(case=_square())
+@example(case=([[_RXYZ.gens()[0], _RXYZ.gens()[1]],
+                [_RXYZ.gens()[0], _RXYZ.gens()[1]]], [1, 2]))  # cancels to 0
+def test_minor_matches_sympy_det(case):
+    matrix, cols = case
+    n = len(matrix)
+    ours = minor(matrix, range(1, n + 1), cols)
+    theirs = sympy.Matrix(
+        [[_to_sympy(_RXYZ, matrix[i][j - 1]) for j in cols] for i in range(n)]
+    ).det(method="berkowitz")
+    assert ours == _from_sympy(_RXYZ, sympy.expand(theirs))
 
 
 # -- univariate factorization -------------------------------------------------
