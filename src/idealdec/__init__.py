@@ -22,9 +22,9 @@ _EXPORTS = {
               "order_from_string",
     "rings": "ParseError Polynomial PolyRing RingError format_poly "
              "format_ring_header parse_ring_header",
-    "polygcd": "ExactDivisionError content_wrt divides exact_divide "
-               "normalize_assoc poly_gcd poly_gcd_many poly_lcm poly_lcm_many "
-               "primitive_in primitive_part_wrt squarefree_decomposition_in",
+    "polygcd": "ExactDivisionError exact_divide normalize_assoc poly_gcd "
+               "poly_gcd_many poly_lcm poly_lcm_many primitive_in "
+               "squarefree_decomposition_in",
     "groebner": "GroebnerBasis GroebnerError NotZeroDimensional buchberger "
                 "is_groebner_basis spolynomial",
     "ideals": "Ideal IdealError chained_saturation contract contract_with_trail "
@@ -46,7 +46,7 @@ _EXPORTS = {
                  "symmetry_generators",
     "verify": "GeneratorStructureReport admissible_partitions "
               "partition_rule_monomials verify_structure",
-    "files": "FileFormatError read_generators read_ideal write_generators",
+    "files": "FileFormatError read_generators write_generators",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

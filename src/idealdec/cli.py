@@ -26,8 +26,7 @@ from .files import (
     FileFormatError,
     generator_lines,
     read_content_lines,
-    read_generators_and_digest,
-    read_ideal,
+    read_generators,
 )
 from .ideals import Ideal, IdealError, dimension
 from .orders import OrderError, order_from_string
@@ -92,7 +91,7 @@ def _read(path: str, reader: Callable[[str], _T]) -> _T:
 def _read_input(path: str) -> Tuple[PolyRing, List[Polynomial], str]:
     """The ring and generators of a generator file, and its ``# input:``
     line, whose digest is of the bytes that were parsed."""
-    ring, polys, digest = _read(path, read_generators_and_digest)
+    ring, polys, digest = _read(path, read_generators)
     return ring, polys, f"# input: {os.path.basename(path)} sha256={digest}"
 
 
@@ -205,12 +204,12 @@ def _cmd_build(args, sink: List[str]) -> int:
 
 
 def _cmd_groebner(args, sink: List[str]) -> int:
-    I = _read(args.ideal, read_ideal)
-    order = order_from_string(args.order, I.ring.names)
-    G = I.groebner(order=order)
+    ring, polys, _ = _read_input(args.ideal)
+    order = order_from_string(args.order, ring.names)
+    G = Ideal(ring, polys).groebner(order=order)
     sink.extend(
         generator_lines(
-            I.ring,
+            ring,
             G.elements,
             comments=[f"reduced groebner basis order={args.order}"],
         )
@@ -440,10 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _TimeoutExpired:
         sink.append(f"timeout after {args.timeout:g}s")
         code = EXIT_TIMEOUT
-    except CliError as ex:
-        print(f"idealdec: error: {ex}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ParseError, FileFormatError, OrderError, IdealError) as ex:
+    except (CliError, ParseError, FileFormatError, OrderError, IdealError) as ex:
         print(f"idealdec: error: {ex}", file=sys.stderr)
         return EXIT_ERROR
     # an except clause reads its classes only when an exception reaches it,

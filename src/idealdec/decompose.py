@@ -73,7 +73,7 @@ from .indepsets import (
     minimal_hitting_sets,
     minimal_supports,
 )
-from .polygcd import normalize_assoc, poly_gcd, poly_lcm_many, primitive_in
+from .polygcd import normalize_assoc, poly_gcd_many, poly_lcm_many, primitive_in
 from .rings import Polynomial, adjoin, inject, project
 from .symmetry import SymmetryAction, UnionFind
 
@@ -181,14 +181,10 @@ def minimal_polynomial(
         raise NotZeroDimensional(
             f"{ring.names[v]} satisfies no relation over the base"
         )
-    g = gens[0]
-    for h in gens[1:]:
-        g = poly_gcd(g, h)
-        if g.is_constant():
-            break
+    g = poly_gcd_many(gens)
     if g.degree_in(v) == 0:
         return I.ring.one
-    return normalize_assoc(primitive_in(g, v))
+    return primitive_in(g, v)
 
 
 def minimal_polynomial_of_form(
@@ -712,7 +708,7 @@ def _gtz(I: Ideal, seed: int, budget: Optional[int]) -> List[PrimaryComponent]:
         if meet is not None and I.contains_ideal(meet):
             return out
         handles = saturation_coefficients(J, u)
-        h = normalize_assoc(poly_lcm_many(handles)) if handles else J.ring.one
+        h = poly_lcm_many(handles) if handles else J.ring.one
         if h.is_constant():
             return out
         # J K(u) is proper, so found is never empty; were it, J : h^inf

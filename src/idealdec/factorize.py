@@ -37,12 +37,7 @@ from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .domains import MILLER_RABIN_BOUND, QQ, is_prime
-from .polygcd import (
-    normalize_assoc,
-    poly_sqrt,
-    primitive_in,
-    squarefree_decomposition_in,
-)
+from .polygcd import poly_sqrt, primitive_in, squarefree_decomposition_in
 from .rings import Polynomial, PolyRing
 
 IntPoly = List[int]
@@ -498,16 +493,16 @@ def _try_quadratic(h: Polynomial, v: int) -> Optional[List[FactorPart]]:
     disc = b * b - a * c * 4
     if disc.is_zero():
         root = primitive_in(h.ring.var(h.ring.names[v]) * (a * 2) + b, v)
-        return [FactorPart(normalize_assoc(root), 2, True, "linear")]
+        return [FactorPart(root, 2, True, "linear")]
     s = poly_sqrt(disc)
     if s is None:
-        return [FactorPart(normalize_assoc(h), 1, True, "quadratic-discriminant")]
+        return [FactorPart(h, 1, True, "quadratic-discriminant")]
     xv = h.ring.var(h.ring.names[v])
     f1 = primitive_in(xv * (a * 2) + b - s, v)
     f2 = primitive_in(xv * (a * 2) + b + s, v)
     return [
-        FactorPart(normalize_assoc(f1), 1, True, "linear"),
-        FactorPart(normalize_assoc(f2), 1, True, "linear"),
+        FactorPart(f1, 1, True, "linear"),
+        FactorPart(f2, 1, True, "linear"),
     ]
 
 
@@ -595,7 +590,7 @@ def split_minimal_polynomial(
     for h, mult in pieces:
         deg = h.degree_in(v)
         if deg == 1:
-            parts.append(FactorPart(normalize_assoc(h), mult, True, "linear"))
+            parts.append(FactorPart(h, mult, True, "linear"))
             continue
         if not (h.support() - {v}):
             # coefficients are rational: factor over Q, definitive over Q(u);
@@ -603,7 +598,7 @@ def split_minimal_polynomial(
             try:
                 factors = _factor_squarefree(_integer_coeffs(h, v), seed)
             except FactorizationIncomplete as exc:
-                parts.append(FactorPart(normalize_assoc(h), mult, None, None))
+                parts.append(FactorPart(h, mult, None, None))
                 obligations.append(f"factorization over Q incomplete: {exc}")
                 continue
             for g in factors:
@@ -623,21 +618,15 @@ def split_minimal_polynomial(
             continue
         eis = _eisenstein_applies(h, v, base)
         if eis is not None:
-            parts.append(
-                FactorPart(normalize_assoc(h), mult, True, f"eisenstein:{eis}")
-            )
+            parts.append(FactorPart(h, mult, True, f"eisenstein:{eis}"))
             continue
         point = _specialization_certificate(h, v, base, seed)
         if point is not None:
             names = m.ring.names
             desc = ",".join(f"{names[b]}={val}" for b, val in sorted(point.items()))
-            parts.append(
-                FactorPart(
-                    normalize_assoc(h), mult, True, f"specialization:{desc}"
-                )
-            )
+            parts.append(FactorPart(h, mult, True, f"specialization:{desc}"))
             continue
-        parts.append(FactorPart(normalize_assoc(h), mult, None, None))
+        parts.append(FactorPart(h, mult, None, None))
         obligations.append(
             f"irreducibility of a degree-{deg} factor over the base field "
             "is uncertified"

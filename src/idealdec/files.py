@@ -15,7 +15,6 @@ import hashlib
 import io
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .ideals import Ideal
 from .rings import (
     ParseError,
     Polynomial,
@@ -87,21 +86,12 @@ def parse_generator_lines(lines: Iterable[str]) -> Tuple[PolyRing, List[Polynomi
     return ring, polys
 
 
-def read_generators(path: str) -> Tuple[PolyRing, List[Polynomial]]:
-    return parse_generator_lines(_text_lines(path, _read_bytes(path)))
-
-
-def read_generators_and_digest(path: str) -> Tuple[PolyRing, List[Polynomial], str]:
+def read_generators(path: str) -> Tuple[PolyRing, List[Polynomial], str]:
     """The ring and generators of a generator file, and the sha256 hex
     digest of the bytes they were parsed from (the file is read once)."""
     data = _read_bytes(path)
     ring, polys = parse_generator_lines(_text_lines(path, data))
     return ring, polys, hashlib.sha256(data).hexdigest()
-
-
-def read_ideal(path: str) -> Ideal:
-    ring, polys = read_generators(path)
-    return Ideal(ring, polys)
 
 
 def generator_lines(

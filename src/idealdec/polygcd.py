@@ -1,15 +1,23 @@
 """Multivariate gcd, content and related exact arithmetic over K[x].
 
-The gcd uses the classical primitive-remainder-sequence recursion: pick the
-highest variable present, split both inputs into content times primitive
-part with respect to it, run a pseudo-remainder loop on the primitive
-parts, and recurse on the contents.  This is not asymptotically clever, but
-it is exact, deterministic, and fast enough for the coefficient sizes this
-package works with.
+The gcd uses the classical primitive-remainder-sequence recursion (Brown,
+JACM 1971): pick the highest variable present, split both inputs into
+content times primitive part with respect to it, run a pseudo-remainder
+loop on the primitive parts, and recurse on the contents.  Each remainder
+is replaced by its primitive part before the next step, and over Q that
+part is also free of rational content, so the coefficients stay integers
+of bounded size.  This is not asymptotically clever, but it is exact,
+deterministic, and fast enough for the coefficient sizes this package
+works with.
 
-Normalisation convention ("canonical associate"): over Q the gcd is an
-integer-primitive polynomial whose leading coefficient under display lex is
-positive; over GF(p) it is scaled to leading coefficient 1.
+Normalisation convention ("canonical associate", ``normalize_assoc``):
+over Q an integer-primitive polynomial whose leading coefficient under lex
+(the display order) is positive; over GF(p) one with leading coefficient 1.
+What the gcd layer computes gets it in one place, ``primitive_in``: every
+gcd, primitive part and squarefree part is built from its output, and a
+product of canonical associates is canonical (Gauss's lemma, and lex
+leaders multiply).  Elsewhere only an input passed through as the result
+is normalised: a gcd with zero, a family of one, an lcm.
 """
 
 from __future__ import annotations
@@ -20,14 +28,18 @@ from math import isqrt, lcm as int_lcm
 from typing import Iterable, List, Optional, Tuple
 
 from .domains import Rationals
-from .orders import lex_order
 from .rings import Polynomial
-
-DISPLAY = lex_order()
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+def _lex_lead(f: Polynomial) -> Tuple[object, Tuple[int, ...]]:
+    """(coefficient, exponents) of f's leading term under lex, the display
+    order: exponent tuples compare lexicographically."""
+    e = max(f.terms)
+    return f.terms[e], e
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -38,11 +50,11 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_constant():
         inv = ring.domain.one / g.constant_value()
         return f * inv
-    cg, eg = g.leading_data(DISPLAY)
+    cg, eg = _lex_lead(g)
     q = {}
     r = f
     while not r.is_zero():
-        cr, er = r.leading_data(DISPLAY)
+        cr, er = _lex_lead(r)
         diff = tuple(a - b for a, b in zip(er, eg))
         if any(d < 0 for d in diff):
             raise ExactDivisionError("not an exact divisor")
@@ -50,14 +62,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         q[diff] = t
         r = r - g.multiply_monomial(diff, t)
     return Polynomial(ring, q)
-
-
-def divides(g: Polynomial, f: Polynomial) -> bool:
-    try:
-        exact_divide(f, g)
-        return True
-    except ExactDivisionError:
-        return False
 
 
 def rational_content(f: Polynomial) -> Fraction:
@@ -76,56 +80,22 @@ def normalize_assoc(f: Polynomial) -> Polynomial:
         return f
     if isinstance(f.ring.domain, Rationals):
         g = f * (1 / rational_content(f))
-        lc, _ = g.leading_data(DISPLAY)
+        lc, _ = _lex_lead(g)
         return -g if lc < 0 else g
-    lc, _ = f.leading_data(DISPLAY)
+    lc, _ = _lex_lead(f)
     return f * (f.ring.domain.one / lc)
 
 
-def content_wrt(f: Polynomial, sub: Iterable[int]) -> Polynomial:
-    """Content of f viewed in K[sub][rest]: gcd of its K[sub]-coefficients.
-
-    Terms are grouped by their exponents outside ``sub``; each group's
-    coefficient is a polynomial supported on ``sub``, and the content is the
-    gcd of those.  For f == 0 returns 0.
-    """
-    if f.is_zero():
-        return f
-    subset = frozenset(sub)
-    groups = {}
-    for exps, c in f.terms.items():
-        outer = tuple(0 if i in subset else e for i, e in enumerate(exps))
-        inner = tuple(e if i in subset else 0 for i, e in enumerate(exps))
-        groups.setdefault(outer, {})[inner] = c
-    acc = None
-    for terms in groups.values():
-        g = Polynomial(f.ring, terms)
-        acc = g if acc is None else poly_gcd(acc, g)
-        if acc.is_one():
-            return acc
-    return normalize_assoc(acc)
-
-
-def primitive_part_wrt(f: Polynomial, sub: Iterable[int]) -> Polynomial:
-    if f.is_zero():
-        return f
-    return exact_divide(f, content_wrt(f, sub))
-
-
 def _content_in_main(f: Polynomial, v: int) -> Polynomial:
-    acc = None
-    for coeff in f.as_univariate(v).values():
-        acc = coeff if acc is None else poly_gcd(acc, coeff)
-        if acc.is_one():
-            return acc
-    return normalize_assoc(acc)
+    return poly_gcd_many(f.as_univariate(v).values())
 
 
 def primitive_in(f: Polynomial, v: int) -> Polynomial:
-    """f divided by the gcd of its coefficients as a polynomial in x_v."""
+    """The canonical associate of f divided by the gcd of its coefficients
+    as a polynomial in x_v (of f itself when f is free of x_v)."""
     if f.is_zero() or f.degree_in(v) < 1:
         return normalize_assoc(f)
-    return exact_divide(f, _content_in_main(f, v))
+    return normalize_assoc(exact_divide(f, _content_in_main(f, v)))
 
 
 def pseudo_rem(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
@@ -172,18 +142,18 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             pp = f.ring.one
             break
         a, b = b, primitive_in(r, v)
-    return normalize_assoc(poly_gcd(cont_f, cont_g) * pp)
+    return poly_gcd(cont_f, cont_g) * pp
 
 
 def poly_gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
     acc = None
     for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc is not None and acc.is_one():
+        acc = normalize_assoc(p) if acc is None else poly_gcd(acc, p)
+        if acc.is_one():
             return acc
     if acc is None:
         raise ValueError("gcd of an empty family")
-    return normalize_assoc(acc)
+    return acc
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -195,10 +165,10 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
 def poly_lcm_many(polys: Iterable[Polynomial]) -> Polynomial:
     acc = None
     for p in polys:
-        acc = p if acc is None else poly_lcm(acc, p)
+        acc = normalize_assoc(p) if acc is None else poly_lcm(acc, p)
     if acc is None:
         raise ValueError("lcm of an empty family")
-    return normalize_assoc(acc)
+    return acc
 
 
 def _fraction_sqrt(c: Fraction) -> Optional[Fraction]:
@@ -222,7 +192,7 @@ def poly_sqrt(f: Polynomial) -> Optional[Polynomial]:
         return None
     if f.is_zero():
         return f
-    c, e = f.leading_data(DISPLAY)
+    c, e = _lex_lead(f)
     if any(x % 2 for x in e):
         return None
     rc = _fraction_sqrt(c)
@@ -233,14 +203,14 @@ def poly_sqrt(f: Polynomial) -> Optional[Polynomial]:
     r = f - s * s
     two_rc = rc * 2
     while not r.is_zero():
-        cr, er = r.leading_data(DISPLAY)
+        cr, er = _lex_lead(r)
         diff = tuple(a - b for a, b in zip(er, half))
         if any(d < 0 for d in diff):
             return None
         t = f.ring.monomial(diff, cr / two_rc)
         r = r - t * (s * 2) - t * t
         s = s + t
-    return s if s.leading_data(DISPLAY)[0] > 0 else -s
+    return s if _lex_lead(s)[0] > 0 else -s
 
 
 def squarefree_decomposition_in(
@@ -250,9 +220,9 @@ def squarefree_decomposition_in(
     field of the remaining variables (characteristic 0).
 
     Returns [(h_1, m_1), ...] with each h_i squarefree in x_v, pairwise
-    coprime, primitive in x_v, and f associate to prod h_i^{m_i} up to a
-    factor free of x_v.  Gcds in K(rest)[x_v] are taken as primitive parts
-    of polynomial gcds (Gauss's lemma).
+    coprime, primitive in x_v and a canonical associate, and f associate to
+    prod h_i^{m_i} up to a factor free of x_v.  Gcds in K(rest)[x_v] are
+    taken as primitive parts of polynomial gcds (Gauss's lemma).
     """
     if f.degree_in(v) < 1:
         raise ValueError("polynomial is constant in the chosen variable")
@@ -260,7 +230,7 @@ def squarefree_decomposition_in(
     df = f.derivative(v)
     g = primitive_in(poly_gcd(f, df), v)
     if g.degree_in(v) == 0:
-        return [(normalize_assoc(f), 1)]
+        return [(f, 1)]
     out: List[Tuple[Polynomial, int]] = []
     c = exact_divide(f, g)  # product of the distinct x_v-factors
     k = 1
@@ -269,7 +239,7 @@ def squarefree_decomposition_in(
         h = exact_divide(c, d)
         h = primitive_in(h, v)
         if h.degree_in(v) > 0:
-            out.append((normalize_assoc(h), k))
+            out.append((h, k))
         if d.degree_in(v) == 0:
             break
         g = exact_divide(g, d)

@@ -116,7 +116,7 @@ def test_criterion_01_builtin_construction(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out == golden  # token-for-token against the frozen listing
-    ring, gens = read_generators(DATA / "paper_3x12.gens")
+    ring, gens, _ = read_generators(DATA / "paper_3x12.gens")
     assert len(gens) == 16
     for g in gens:
         assert g.num_terms() == 6
@@ -202,7 +202,7 @@ def test_criterion_04_structure_verification():
     assert entries[19].num_terms == 252
     published = DATA / "p2_published.gens"
     if published.exists():
-        ring, pub = read_generators(published)
+        ring, pub, _ = read_generators(published)
         pub_report = verify_structure(pub)
         assert pub_report.ok, [c.line() for c in pub_report.checks if not c.ok]
     elapsed = time.perf_counter() - t0

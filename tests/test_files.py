@@ -8,10 +8,9 @@ from idealdec.files import (
     generator_lines,
     parse_generator_lines,
     read_generators,
-    read_generators_and_digest,
-    read_ideal,
     write_generators,
 )
+from idealdec.ideals import Ideal
 from idealdec.rings import PolyRing
 
 
@@ -19,7 +18,7 @@ def test_round_trip(tmp_path, rxyz):
     polys = [rxyz.parse(t) for t in ("x*y - z", "x^2 + 1")]
     path = tmp_path / "io.gens"
     write_generators(path, rxyz, polys, comments=("demo",))
-    ring, back = read_generators(path)
+    ring, back, _ = read_generators(path)
     assert ring == rxyz
     assert back == polys
     text = path.read_text()
@@ -38,7 +37,7 @@ def test_comments_and_blank_lines_anywhere(tmp_path):
         "\n"
         "x - y  # trailing comment\n"
     )
-    ring, polys = read_generators(path)
+    ring, polys, _ = read_generators(path)
     assert [str(p) for p in polys] == ["x + y", "x - y"]
 
 
@@ -47,7 +46,7 @@ def test_prime_field_header_round_trip(tmp_path):
     polys = [ring.parse("a^2 + 6*b")]
     path = tmp_path / "gf.gens"
     write_generators(path, ring, polys)
-    back_ring, back = read_generators(path)
+    back_ring, back, _ = read_generators(path)
     assert back_ring == ring
     assert back == polys
 
@@ -88,7 +87,7 @@ def test_missing_header(tmp_path):
 def test_read_ideal(tmp_path):
     path = tmp_path / "i.gens"
     path.write_text("ring Q[x,y]\nx*y\nx^2\n")
-    I = read_ideal(path)
+    I = Ideal(*read_generators(path)[:2])
     assert [str(g) for g in I.generators] == ["x*y", "x^2"]
 
 
@@ -108,6 +107,6 @@ def test_sha256_matches_hashlib(tmp_path):
 
     path = tmp_path / "h.gens"
     path.write_bytes(b"ring Q[x]\nx\n")
-    ring, polys, digest = read_generators_and_digest(path)
+    ring, polys, digest = read_generators(path)
     assert (ring.names, [str(p) for p in polys]) == (("x",), ["x"])
     assert digest == hashlib.sha256(b"ring Q[x]\nx\n").hexdigest()

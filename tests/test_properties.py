@@ -1,13 +1,14 @@
 """Property tests of gcd, factorization and parsing, with sympy as oracle.
 
-* ``poly_gcd`` of a*c and b*c in Q[x,y] and Q[x,y,z] equals ``sympy.gcd``
-  up to associates;
+* ``poly_gcd`` of a*c and b*c in Q[x,y] and Q[x,y,z] is the canonical
+  associate of ``sympy.gcd``, and ``primitive_in`` of a*c in each variable
+  is a canonical associate;
 * ``factor_rational_univariate`` of a product of small factors of total
   degree at most 8 gives the factors and multiplicities of
   ``sympy.factor_list``;
 * ``split_minimal_polynomial`` of a product of known factors in Q[y][x],
-  repeated and rational ones included, gives squarefree, pairwise coprime
-  parts p_i with prod p_i^{m_i} / m free of x;
+  repeated and rational ones included, gives canonical, squarefree,
+  pairwise coprime parts p_i with prod p_i^{m_i} / m free of x;
 * ``minor`` of a 1x1 to 4x4 matrix of polynomials in Q[x,y,z], its columns
   in any order, equals ``sympy.Matrix.det``;
 * ``ring.parse(str(f)) == f`` over Q and GF(7), the zero polynomial
@@ -34,7 +35,7 @@ from idealdec.domains import QQ, DomainError, PrimeField
 from idealdec.factorize import factor_rational_univariate, split_minimal_polynomial
 from idealdec.hyperedge import minor
 from idealdec.indepsets import minimal_hitting_sets
-from idealdec.polygcd import normalize_assoc, poly_gcd
+from idealdec.polygcd import normalize_assoc, poly_gcd, primitive_in
 from idealdec.rings import ParseError, PolyRing
 
 sympy = pytest.importorskip("sympy")
@@ -102,7 +103,11 @@ def test_poly_gcd_matches_sympy(case):
     a, b, c = (ring.poly(t) for t in (a, b, c))
     f, g = a * c, b * c
     theirs = sympy.gcd(_to_sympy(ring, f), _to_sympy(ring, g))
-    assert normalize_assoc(poly_gcd(f, g)) == normalize_assoc(_from_sympy(ring, theirs))
+    # poly_gcd returns the canonical associate itself
+    assert poly_gcd(f, g) == normalize_assoc(_from_sympy(ring, theirs))
+    for v in range(nvars):
+        pp = primitive_in(f, v)
+        assert normalize_assoc(pp) == pp
 
 
 # -- minors -------------------------------------------------------------------
@@ -242,6 +247,7 @@ def test_split_minimal_polynomial_parts_recompose(case):
     ring, m = case
     x = SYMBOLS[0]
     out = split_minimal_polynomial(m, 0, base=(1,))
+    assert all(normalize_assoc(p.poly) == p.poly for p in out.parts)
     parts = [_to_sympy(ring, p.poly) for p in out.parts]
     for p in parts:
         assert sympy.degree(p, x) >= 1
