@@ -69,13 +69,21 @@ Reduction runs on plain ``int`` coefficients, fraction-free, in both
 fields.  Each basis element is held as an integer entry (packed leading
 monomial, a, tail): over Q the element's primitive integer multiple with
 leading coefficient a > 0, over GF(p) the monic element as residues, a = 1.
-S-polynomials, reduction, interreduction, ``normal_form`` and
-``is_groebner_basis`` all read entries.  The finished basis keeps its
-entries and builds an element's field (``Fraction`` or ``ModInt``)
-polynomial only when it is read: ``element(k)`` builds one, ``elements``
-all of them on first access.  Many bases are read only for their leading
-monomials or normal forms, and ``eliminate`` reads only the elements it
-keeps.
+S-polynomials, reduction, interreduction, normal forms, membership and
+``is_groebner_basis`` all read entries.  A plain basis keeps the minimal
+entries Buchberger left and interreduces them as they are read:
+``element(k)`` tail-reduces entry k against all entries the first time it
+is read, and ``elements``, ``normal_form`` and ``exponent`` first make one
+ascending pass over the entries not yet reduced.  The reduced basis is
+unique, so the order in which its entries are reduced changes nothing.
+An element's field (``Fraction`` or ``ModInt``) polynomial is built only
+when it is read: ``element(k)`` builds one, ``elements`` all of them on
+first access.  Many bases are read only for their leading monomials or
+for membership, and ``eliminate`` reads, and so reduces, only the
+elements it keeps.  ``exponent`` tests membership, and finds the least m
+with h^m f in the ideal, on packed integer terms alone: it reduces each
+f, multiplies the nonzero remainders by the integer multiple of h and
+reduces again, and builds no field element.
 
 ``_reduce`` pops terms greatest first from a heap of negated packed
 monomials, each monomial pushed once, when it enters the work dict.  A
@@ -92,10 +100,13 @@ leading monomial (interreduction, ``normal_form`` and
 ``is_groebner_basis``) a term scans only the entries whose leading
 monomial is at most the term, found by bisection once per term.
 Buchberger's own reductions run against the basis in insertion order and
-scan every entry.
+scan every entry.  A term that overflows the fields while a basis is read
+packs its entries again at twice the width.
 
-Normal forms exist for plain bases only; a localized basis raises
-``GroebnerError`` for them.
+Normal forms and membership exist for plain bases only; a localized basis
+raises ``GroebnerError`` for them, and is interreduced whole when it is
+made, as its leading coefficients and its restricted minimalisation read
+the reduced basis.
 """
 
 from __future__ import annotations
@@ -315,7 +326,7 @@ def _checked_order(polys: Sequence[Polynomial],
     return order
 
 
-def spolynomial(f, g, order=None):
+def spolynomial(f, g, order=None, m=None):
     """The S-polynomial of f and g.
 
     For nonzero polynomials f and g of one ring, with leading terms under
@@ -323,7 +334,9 @@ def spolynomial(f, g, order=None):
     polynomial.  ``buchberger`` and ``is_groebner_basis`` pass the entries
     of two basis elements and their packing instead and get the integer
     terms that the kernel reduces: lcm(a_f, a_g) times the S-polynomial,
-    with residues left unreduced over GF(p).
+    with residues left unreduced over GF(p).  On entries, ``m`` is the
+    packed lcm of their leading monomials, computed here when None;
+    ``buchberger`` passes its pair's heap key.
     """
     if isinstance(f, Polynomial):
         order = _checked_order((f, g), order)
@@ -343,7 +356,8 @@ def spolynomial(f, g, order=None):
     # the leading terms cancel, so only the tails are shifted
     d = gcd(af, ag)
     cf, cg = ag // d, af // d
-    m = order.from_m(order.lcm(lf, lg))
+    if m is None:
+        m = order.from_m(order.lcm(lf, lg))
     shift = m - lf
     s = {e + shift: cf * c for e, c in tf}
     shift = m - lg
@@ -433,10 +447,15 @@ class GroebnerBasis:
     or, when localized, the block order built from it with u last.  The
     basis is built from its entries under that order and the packing they
     were made with, as ``buchberger`` holds them, sorted by ascending
-    leading monomial.  The leading exponents are unpacked once, here;
-    ``element(k)`` builds the k-th monic polynomial, and ``elements``, all
-    of them, is built on first access.  Only a plain basis has normal forms,
-    reduced against the entries; a localized one serves its leading data.
+    leading monomial.  The leading exponents are unpacked once, here.
+
+    A plain basis gets the minimal entries and interreduces them on read:
+    ``element(k)`` tail-reduces entry k the first time it is read and
+    builds its monic polynomial, and ``elements``, ``normal_form`` and
+    ``exponent`` first tail-reduce, in one ascending pass, every entry
+    still as Buchberger left it.  ``elements`` is built on first access.  A
+    localized basis gets its entries reduced and serves its leading data;
+    only a plain one has normal forms and membership.
     """
 
     __slots__ = (
@@ -447,6 +466,7 @@ class GroebnerBasis:
         "_packing",
         "_packed_leads",
         "_leads",
+        "_raw",
         "_elements",
     )
 
@@ -463,14 +483,51 @@ class GroebnerBasis:
         self._packed_leads = [entry[0] for entry in entries]
         self._leads = [packing.unpack(lead) for lead in self._packed_leads]
         self.localized_vars = localized_vars
-        self._entries = entries
+        self._entries = list(entries)
         self._packing = packing
+        # the entries with a tail not yet reduced; a monomial has none
+        self._raw = set() if localized_vars is not None else {
+            k for k, entry in enumerate(entries) if entry[2]}
         self._elements: Optional[Tuple[Polynomial, ...]] = None
+
+    def _run(self, width: int, reads: Optional[Sequence[int]],
+             work: Optional[Callable[[_Packing], object]] = None):
+        """work(packing), if given, once the entries ``reads``, all when
+        None, are tail-reduced, at the basis's packing or, if ``width`` or
+        an overflow asks for more, at a wider one, for which the entries
+        are packed again."""
+        p = self.ring.domain.characteristic
+
+        def run(packing):
+            if packing is not self._packing:
+                self._repack(packing)
+            raw = self._raw
+            if raw:
+                todo = sorted(raw) if reads is None else [k for k in reads if k in raw]
+                _interreduce(self._entries, self._packed_leads, todo, packing, p)
+                raw.difference_update(todo)
+            return work(packing) if work else None
+
+        if self._packing is not None:
+            width = max(width, self._packing.width)
+        return _widening(self.computation_order, self.ring.nvars, width, run)
+
+    def _repack(self, packing: _Packing) -> None:
+        """Hold the entries at ``packing``, a wider one of the same order."""
+        if self._entries:
+            pack, unpack = packing.pack, self._packing.unpack
+            self._entries = [
+                (pack(unpack(lead)), a, [(pack(unpack(e)), c) for e, c in tail])
+                for lead, a, tail in self._entries]
+            self._packed_leads = [entry[0] for entry in self._entries]
+        self._packing = packing
 
     @property
     def elements(self) -> Tuple[Polynomial, ...]:
         """The monic basis polynomials, by ascending leading monomial."""
         if self._elements is None:
+            if self._raw:
+                self._run(0, None)
             self._elements = tuple(map(self.element, range(len(self._entries))))
         return self._elements
 
@@ -478,6 +535,9 @@ class GroebnerBasis:
         """The k-th monic basis polynomial."""
         if self._elements is not None:
             return self._elements[k]
+        k = range(len(self._entries))[k]
+        if k in self._raw:
+            self._run(0, (k,))
         _, a, tail = self._entries[k]
         ring = self.ring
         terms = _field_terms(tail, a, ring.domain.characteristic, self._packing)
@@ -524,35 +584,72 @@ class GroebnerBasis:
 
     # -- membership ----------------------------------------------------------
 
+    def _plain(self, polys: Iterable[Polynomial]) -> None:
+        if any(f.ring != self.ring for f in polys):
+            raise RingError("polynomial from a different ring")
+        if self.localized_vars is not None:
+            raise GroebnerError("a localized basis has no normal forms")
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The full normal form of f against a plain basis.
 
         Raises GroebnerError for a localized basis, whose elements reduce
         only over K(u).
         """
-        if f.ring != self.ring:
-            raise RingError("polynomial from a different ring")
-        if self.localized_vars is not None:
-            raise GroebnerError("a localized basis has no normal forms")
+        self._plain((f,))
         p = self.ring.domain.characteristic
-        width = _width(f.terms)
-        if self._packing is not None:
-            width = max(width, self._packing.width)
 
-        def run(packing):
-            entries, leads = self._entries, self._packed_leads
-            if packing is not self._packing:
-                entries = [_poly_entry(g, packing) for g in self.elements]
-                leads = [entry[0] for entry in entries]
+        def work(packing):
             terms, den = _packed_terms(f, packing)
-            r, scale = _reduce(terms, entries, packing, p, leads)
+            r, scale = _reduce(terms, self._entries, packing, p, self._packed_leads)
             return _field_terms(r.items(), den * scale, p, packing)
 
-        terms = _widening(self.computation_order, self.ring.nvars, width, run)
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, self._run(_width(f.terms), None, work))
+
+    def exponent(self, polys: Iterable[Polynomial],
+                 h: Optional[Polynomial] = None) -> Optional[int]:
+        """The least m >= 0 with h^m f in the ideal for every f of
+        ``polys``.  Without h (h = 1) that is 0 when every f lies in the
+        ideal, and None as soon as one does not.
+
+        With h, every f must lie in I : h^infinity, or no m exists and the
+        search does not end.  The work is on packed integer terms: each f
+        is reduced against the plain basis, and the nonzero remainders,
+        made primitive over Q, are multiplied by the integer multiple of h
+        and reduced again until all vanish.  Raises GroebnerError for a
+        localized basis.
+        """
+        polys = list(polys)
+        inputs = polys if h is None else polys + [h]
+        self._plain(inputs)
+        p = self.ring.domain.characteristic
+
+        def work(packing):
+            entries, leads = self._entries, self._packed_leads
+            remainders = []
+            for f in polys:
+                r = _reduce(_packed_terms(f, packing)[0], entries, packing, p, leads)[0]
+                if r:
+                    if h is None:
+                        return None
+                    remainders.append(r)
+            if not remainders:
+                return 0
+            times = list(_packed_terms(h, packing)[0].items())
+            m = 0
+            while remainders:
+                m += 1
+                remainders = [
+                    r for r in (_reduce(_product(r, times, packing, p), entries,
+                                        packing, p, leads)[0] for r in remainders)
+                    if r]
+            return m
+
+        width = _width(chain.from_iterable(f.terms for f in inputs))
+        return self._run(width, None, work)
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        return self.exponent((f,)) == 0
 
     def is_trivial(self) -> bool:
         """True iff the (localized) ideal is the unit ideal."""
@@ -617,17 +714,38 @@ def _staircase_count(lead_projs: List[Exponents], nrel: int) -> int:
     return rec(0, list(range(len(minimal))), [])
 
 
-def _interreduce(entries: List[Entry], packing: _Packing, p: int) -> None:
-    """Tail-reduce the entries of a minimal basis, by ascending leading
-    monomial, in place, which makes it the reduced basis.
+def _product(terms: Dict[int, int], times: Sequence[Tuple[int, int]],
+             packing: _Packing, p: int) -> Dict[int, int]:
+    """The packed integer terms times ``times``, made primitive first over
+    Q; zero coefficients may stay."""
+    if not p:
+        g = gcd(*terms.values())
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+    out: Dict[int, int] = {}
+    for e, c in terms.items():
+        for t, d in times:
+            t += e
+            out[t] = out.get(t, 0) + c * d
+    if reduce(or_, out, 0) & packing.overflow:
+        raise _Overflow
+    return out
+
+
+def _interreduce(entries: List[Entry], leads: Sequence[int], todo: Iterable[int],
+                 packing: _Packing, p: int) -> None:
+    """Tail-reduce the entries ``todo`` of a minimal basis, sorted by
+    ascending leading monomial ``leads``, in place and in turn.
 
     Leading monomials of a minimal basis divide one another nowhere and
     never change here, and no tail term is divisible by its own leading
-    monomial.  So one pass, each tail reduced against all entries, leaves
-    no tail term divisible by any leading monomial.
+    monomial.  A tail reduced against all entries is therefore free of
+    every leading monomial, and the entry is that of the reduced basis,
+    whichever entries were reduced before it; one pass over all of them
+    makes the reduced basis.
     """
-    leads = [entry[0] for entry in entries]
-    for i, (lead, a, tail) in enumerate(entries):
+    for i in todo:
+        lead, a, tail = entries[i]
         # scale (a x^lead + tail) = scale a x^lead + r modulo the ideal
         r, scale = _reduce(dict(tail), entries, packing, p, leads)
         entries[i] = _make_entry({lead: a * scale, **r}, lead, p)
@@ -647,11 +765,12 @@ def _minimal(items: Sequence[tuple], guards: int) -> List[tuple]:
     return kept
 
 
-def _reduced_entries(
+def _minimal_entries(
     gens: Sequence[Polynomial], packing: _Packing, p: int
 ) -> List[Entry]:
-    """The entries of the reduced basis of the nonzero ``gens`` under the
-    packing's order."""
+    """The entries of a minimal basis of the nonzero ``gens`` under the
+    packing's order, by ascending leading monomial, their tails not yet
+    reduced."""
     guards, field, lcm_of = packing.guards, packing.field, packing.lcm
     exps, overflow, top = packing.exps, packing.overflow, packing.width - 1
     inputs = sorted((_poly_entry(g, packing) for g in gens), key=itemgetter(0))
@@ -742,17 +861,16 @@ def _reduced_entries(
         add_poly(entry)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r, _ = _reduce(spolynomial(entries[i], entries[j], packing), entries, packing, p)
+        r, _ = _reduce(spolynomial(entries[i], entries[j], packing, key), entries,
+                       packing, p)
         if r:
             # the remainder is built greatest term first
             add_poly(_make_entry(r, next(iter(r)), p))
 
-    reduced = _minimal(entries, guards)
-    _interreduce(reduced, packing, p)
-    return reduced
+    return _minimal(entries, guards)
 
 
 def buchberger(
@@ -761,7 +879,7 @@ def buchberger(
     localized_vars: Optional[Iterable[int]] = None,
 ) -> GroebnerBasis:
     """Compute a reduced Groebner basis (minimal localized basis when
-    ``localized_vars`` is given).
+    ``localized_vars`` is given); a plain one is interreduced as it is read.
 
     ``order`` defaults to degrevlex.  With ``localized_vars`` it must be a
     plain lex/degrevlex kind; the computation order becomes the block order
@@ -792,9 +910,17 @@ def buchberger(
         return GroebnerBasis(ring, comp_order, (), loc)
 
     p = ring.domain.characteristic
+
+    def run(packing):
+        entries = _minimal_entries(work, packing, p)
+        if loc is not None:
+            # a localized basis is read whole: interreduce it now
+            _interreduce(entries, [entry[0] for entry in entries],
+                         range(len(entries)), packing, p)
+        return packing, entries
+
     packing, entries = _widening(
-        comp_order, ring.nvars, _width(chain.from_iterable(g.terms for g in work)),
-        lambda packing: (packing, _reduced_entries(work, packing, p)))
+        comp_order, ring.nvars, _width(chain.from_iterable(g.terms for g in work)), run)
 
     if loc is None:
         return GroebnerBasis(ring, comp_order, entries, packing=packing)

@@ -12,11 +12,15 @@ need no tag:
   of h at a time, the reduced basis under degrevlex with x last divided by
   x-contents (Bayer; a monomial I drops the variables from its generators);
   otherwise eliminate w from I + <w*h - 1> (Rabinowitsch).  Then the
-  exponent: the least m with h^m (I : h^infinity) inside I, by normal forms
-  (saturation_exponent, which also serves a caller that already holds
-  I : h^infinity, such as a level of GTZ, with no saturation);
+  exponent: the least m with h^m (I : h^infinity) inside I, from one loop
+  on packed integer terms that reduces the generators against I's basis,
+  multiplies the nonzero remainders by h and reduces again, with no
+  Fraction built (saturation_exponent, which also serves a caller that
+  already holds I : h^infinity, such as a level of GTZ, with no
+  saturation);
 * eliminate(I, V):  block order with V in front; only the basis elements
-  whose leading monomial is free of V are built as polynomials;
+  whose leading monomial is free of V are tail-reduced and built as
+  polynomials;
 * contract(I, u):   chained saturations of I by the K[u]-leading
   coefficients of I's minimal localized basis (saturation_coefficients),
   smallest first -- this turns the extension ideal I K(u)[X-u] back into
@@ -116,8 +120,7 @@ class Ideal:
         return self.groebner().elements == other.groebner().elements
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        G = self.groebner()
-        return all(G.contains(g) for g in other.generators)
+        return self.groebner().exponent(other.generators) == 0
 
     def canonical_generators(self) -> Tuple[Polynomial, ...]:
         """Reduced degrevlex basis: a canonical generator list."""
@@ -214,19 +217,12 @@ def saturation_exponent(I: Ideal, h: Polynomial, S: Ideal) -> int:
     """The least m with h^m * S inside I.
 
     S must lie in I : h^infinity, or no m exists and the search does not
-    end; for S = I : h^infinity, m is the saturation exponent.  The normal
-    forms of S's generators against I's degrevlex basis are multiplied by h
-    and reduced again until all vanish.
+    end; for S = I : h^infinity, m is the saturation exponent.  S's
+    generators are reduced against I's degrevlex basis, and the nonzero
+    remainders multiplied by h and reduced again until all vanish, on
+    packed integer terms (GroebnerBasis.exponent).
     """
-    G = I.groebner()
-    remainders = list(S.generators)
-    exponent = 0
-    while True:
-        remainders = [r for r in map(G.normal_form, remainders) if not r.is_zero()]
-        if not remainders:
-            return exponent
-        remainders = [h * r for r in remainders]
-        exponent += 1
+    return I.groebner().exponent(S.generators, h)
 
 
 def _saturate_by_variables(I: Ideal, variables: frozenset) -> Ideal:
@@ -254,8 +250,8 @@ def _saturate_by_variables(I: Ideal, variables: frozenset) -> Ideal:
         if any(contents):
             current = Ideal(ring, [
                 Polynomial(ring, {e[:x] + (e[x] - k,) + e[x + 1:]: c
-                                  for e, c in G.element(j).terms.items()})
-                for j, k in enumerate(contents)])
+                                  for e, c in g.terms.items()})
+                for g, k in zip(G.elements, contents)])
     return current
 
 
@@ -305,7 +301,8 @@ def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
     blocks = [(elim, DEGREVLEX)] + ([(rest, DEGREVLEX)] if rest else [])
     G = groebner.buchberger(I.generators, block_order(blocks))
     # in an elimination order an element whose leading monomial is free of
-    # the eliminated variables is free of them, so only those are built
+    # the eliminated variables is free of them, so only those are read,
+    # which tail-reduces and builds them alone
     picked = [G.element(k) for k, e in enumerate(G.lead_exps())
               if not any(e[i] for i in elim)]
     return Ideal(ring, picked)

@@ -365,6 +365,16 @@ def test_widening_restarts_at_twice_the_width_and_keeps_the_basis(
     assert ours == basis
 
 
+def test_a_tail_that_overflows_when_read_packs_the_basis_wider(monkeypatch):
+    # the leading monomials x and z are coprime, so Buchberger forms no pair
+    # and runs at 8 bits; reading z - x^3 reduces its tail to y^189, past
+    # the 8-bit limit of 127, and the entries are packed again at 16 bits
+    ours, seen = _basis_and_widths(monkeypatch, ("z", "x", "y"),
+                                   ["x - y^63", "z - x^3"], lex_order())
+    assert sorted(set(seen)) == [8, 16]
+    assert ours == ["x - y^63", "z - y^189"]
+
+
 @pytest.mark.parametrize("order, basis", [
     (lex_order(), ["y^403 - 1", "x^100 - y^402"]),
     (degrevlex_order(), ["x^100*y - 1", "-x^300 + y^400", "x^400 - y^399"]),

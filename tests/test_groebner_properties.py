@@ -31,6 +31,12 @@ S-polynomials of a run that started wide.
 Against random bases sorted by leading monomial, the reducer's bounded
 scan returns the remainder and scale of a full scan in basis order, the
 reference kept here.
+
+Over Q and GF(32003), the packed saturation exponent equals the loop it
+replaced, normal forms multiplied by h as polynomials, kept here, and
+``contains_ideal`` agrees with normal forms.  Elements read one at a time,
+in any order, are those of the reduced basis, and reading one leaves the
+other entries as Buchberger left them.
 """
 
 from fractions import Fraction
@@ -50,7 +56,7 @@ from idealdec.groebner import (
     buchberger,
     is_groebner_basis,
 )
-from idealdec.ideals import Ideal, eliminate
+from idealdec.ideals import Ideal, eliminate, saturate, saturation_exponent
 from idealdec.orders import block_order, degrevlex_order, lex_order
 from idealdec.rings import PolyRing
 
@@ -405,9 +411,9 @@ def _widening_run(monkeypatch, ring, wide):
     real = groebner.spolynomial
     widths = []
 
-    def counted(f, g, packing=None):
+    def counted(f, g, packing=None, m=None):
         widths.append(packing.width)
-        return real(f, g, packing)
+        return real(f, g, packing, m)
 
     monkeypatch.setattr(groebner, "spolynomial", counted)
     G = buchberger([ring.parse("x^60*y - 1"), ring.parse("y^20 - x")], lex_order())
@@ -518,3 +524,72 @@ def test_eliminate_picks_by_leading_monomial_what_support_picks(gens, elim,
     G = buchberger(I.generators, order)
     by_support = [g for g in G.elements if not g.support() & elim]
     assert list(eliminate(I, elim).generators) == by_support
+
+
+# -- packed membership and lazy interreduction ----------------------------------
+
+
+def _reference_exponent(G, h, polys):
+    """The least m with h^m f in the ideal for every f of ``polys``, by
+    normal forms multiplied by h as polynomials: the loop the packed
+    exponent replaced."""
+    remainders = list(polys)
+    m = 0
+    while True:
+        remainders = [r for r in map(G.normal_form, remainders) if not r.is_zero()]
+        if not remainders:
+            return m
+        remainders = [h * r for r in remainders]
+        m += 1
+
+
+_gf = st.sampled_from([None, 32003])
+
+
+@_settings
+@given(gens=_gens, h=_terms(2, 3), multipliers=st.lists(_terms(1, 2), max_size=3),
+       stray=st.one_of(st.none(), _terms(2, 3)), modulus=_gf)
+def test_packed_exponent_and_containment_match_normal_forms(gens, h, multipliers,
+                                                            stray, modulus):
+    ring = _ring(modulus)
+    I = Ideal(ring, [ring.poly(t) for t in gens])
+    h = ring.poly(h)
+    G = I.groebner()
+    S = saturate(I, h).ideal
+    assert saturation_exponent(I, h, S) == _reference_exponent(G, h, S.generators)
+    # multiples of I's generators, and maybe one polynomial outside I
+    polys = [ring.poly(t) * g for t, g in zip(multipliers, I.generators)]
+    if stray is not None:
+        polys.append(ring.poly(stray))
+    J = Ideal(ring, polys)
+    assert I.contains_ideal(J) == all(G.normal_form(g).is_zero() for g in J.generators)
+
+
+# lex, Q: reading the third element tail-reduces its entry
+_TAIL_REDUCED = [{(2, 0, 0): -1, (0, 0, 1): -3},
+                 {(1, 0, 1): -2, (2, 0, 0): -3, (1, 0, 0): 1, (1, 1, 0): -3}]
+
+
+@_settings
+@given(gens=_gens, order_name=_order, modulus=_gf, data=st.data())
+@example(gens=_TAIL_REDUCED, order_name="lex", modulus=None, data=None)
+def test_elements_read_in_any_order_are_the_reduced_basis(gens, order_name, modulus,
+                                                          data):
+    ring = _ring(modulus)
+    polys = [ring.poly(t) for t in gens]
+    order = ORDERS[order_name]
+    fresh = buchberger(polys, order).elements
+    G = buchberger(polys, order)
+    n = len(G)
+    if data is None:  # the explicit example
+        first, rest = 2, [1, 0, 3]
+    else:
+        first = data.draw(st.integers(0, n - 1))
+        rest = data.draw(st.permutations([k for k in range(n) if k != first]))
+    left = list(G._entries)
+    assert G.element(first) == fresh[first]
+    # the other entries are still as Buchberger left them
+    assert [e for k, e in enumerate(G._entries) if k != first] == [
+        e for k, e in enumerate(left) if k != first]
+    assert {k: G.element(k) for k in rest} == {k: fresh[k] for k in rest}
+    assert G.elements == fresh
