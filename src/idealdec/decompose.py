@@ -205,7 +205,7 @@ def minimal_polynomial_of_form(
         if c and i in u:
             raise IdealError("linear form meets the independent set")
         if c:
-            form = form + ring.var(ring.names[i]).scale(c)
+            form = form + ring.var(ring.names[i]) * c
     if form.is_zero():
         raise IdealError("zero linear form")
     big, tag = adjoin(ring, "t")
@@ -392,10 +392,11 @@ def zero_dim_decompose(
         if len(candidate.outcome.parts) >= 2:
             return split(candidate)
         walked.append(candidate)
-        if _primitive(candidate, D):
-            # the quotient is a field; the certificate walk over the
-            # variables walked stops here at the latest
-            return leaf(I, _maximality(walked, D))
+        certificate = _primitive(candidate, D)
+        if certificate:
+            # the quotient is a field, so no variable walked before refutes
+            # its maximality
+            return leaf(I, MaximalityResult(MAXIMAL, certificate=certificate))
     # each variable's minimal polynomial is p^k, and R adjoins p for k > 1
     # (exact in characteristic zero)
     repeated = [

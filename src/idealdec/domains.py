@@ -102,8 +102,8 @@ class ModInt:
         return ModInt(-self.value, self.p)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return ModInt(pow(self.value, e, self.p), self.p)
+        if e < 0 and self.value == 0:
+            raise ZeroDivisionError("zero to a negative power in GF(p)")
         return ModInt(pow(self.value, e, self.p), self.p)
 
     def __eq__(self, other):

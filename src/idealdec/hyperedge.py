@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import symmetry
 from .domains import QQ
 from .ideals import Ideal
-from .rings import Polynomial, PolyRing, RingError
+from .rings import Polynomial, PolyRing, RingError, summed
 
 
 class HyperedgeError(ValueError):
@@ -116,7 +116,7 @@ def minor(
 
     Each permutation's product is formed term by term: exponent tuples are
     added, coefficients multiplied (a factor that is the domain's one is
-    skipped), and the signed terms are summed in one dict."""
+    skipped), and the signed terms are summed by ``rings.summed``."""
     rows = tuple(rows)
     cols = tuple(cols)
     if len(rows) != len(cols):
@@ -130,27 +130,20 @@ def minor(
     terms = [[f.terms.items() for f in row] for row in sub]
     one = ring.domain.one
     minus_one = -one
-    total: Dict[Tuple[int, ...], object] = {}
-    for pairs, odd in _signed_permutations(len(rows)):
-        for factors in product(*[terms[i][j] for i, j in pairs]):
-            exps, coeff = factors[0]
-            for e, c in factors[1:]:
-                exps = map(add, exps, e)
-                if c is not one:
-                    coeff = c if coeff is one else coeff * c
-            exps = tuple(exps)
-            if odd:
-                coeff = minus_one if coeff is one else -coeff
-            s = total.get(exps)
-            if s is None:
-                total[exps] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    total[exps] = s
-                else:
-                    del total[exps]
-    return Polynomial(ring, total)
+
+    def signed_terms():
+        for pairs, odd in _signed_permutations(len(rows)):
+            for factors in product(*[terms[i][j] for i, j in pairs]):
+                exps, coeff = factors[0]
+                for e, c in factors[1:]:
+                    exps = map(add, exps, e)
+                    if c is not one:
+                        coeff = c if coeff is one else coeff * c
+                if odd:
+                    coeff = minus_one if coeff is one else -coeff
+                yield tuple(exps), coeff
+
+    return summed(ring, signed_terms())
 
 
 def build_hyperedge_ideal(spec: HyperedgeSpec) -> Ideal:

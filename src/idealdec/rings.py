@@ -17,6 +17,11 @@ tokens, a sign is required before every term but the first, and any text
 outside the grammar raises ``ParseError`` (a ``*`` followed by a sign
 included).
 
+Every polynomial that sums terms, arithmetic, substitution, parsing and
+``ring.poly`` alike, is built by ``summed``: it adds the coefficients of
+equal exponent tuples and drops every zero, so no stored coefficient is
+zero.
+
 Terms are printed in descending lexicographic order of exponent tuples with
 respect to the declared variable order, so ``str`` output is canonical and
 ``ring.parse(str(f)) == f`` always holds.
@@ -25,9 +30,9 @@ respect to the declared variable order, so ``str`` output is canonical and
 from __future__ import annotations
 
 import re
-from itertools import compress
-from operator import getitem
-from typing import Dict, Sequence, Tuple
+from itertools import chain, compress
+from operator import add, getitem, neg
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .domains import DomainError, QQ, PrimeField, Rationals
 
@@ -114,7 +119,7 @@ class PolyRing:
 
     def poly(self, mapping: Dict[Exponents, object]) -> "Polynomial":
         """Build a polynomial from {exponent tuple: coefficient}, validating."""
-        terms: Dict[Exponents, object] = {}
+        pairs = []
         for exps, raw in mapping.items():
             exps = tuple(exps)
             if len(exps) != self.nvars:
@@ -122,16 +127,10 @@ class PolyRing:
                     f"exponent tuple {exps} has length {len(exps)}, ring has "
                     f"{self.nvars} variables"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise RingError(f"negative or non-integer exponent in {exps}")
-            c = self.domain.coerce(raw)
-            if exps in terms:
-                c = terms[exps] + c
-            if c:
-                terms[exps] = c
-            elif exps in terms:
-                del terms[exps]
-        return Polynomial(self, terms)
+            pairs.append((exps, self.domain.coerce(raw)))
+        return summed(self, pairs)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_poly(self, text)
@@ -155,7 +154,7 @@ class Polynomial:
 
     Instances are treated as immutable; the terms dict is never mutated
     after construction.  Use ring.poly / ring.parse to build values with
-    validation; arithmetic uses the trusted constructor directly.
+    validation; arithmetic sums trusted terms through ``summed``.
     """
 
     __slots__ = ("ring", "terms", "_hash")
@@ -230,18 +229,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._require_same_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = c
-            else:
-                s = s + c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return Polynomial(self.ring, out)
+        return summed(self.ring, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -249,18 +237,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._require_same_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = -c
-            else:
-                s = s - c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return Polynomial(self.ring, out)
+        negated = zip(other.terms, map(neg, other.terms.values()))
+        return summed(self.ring, chain(self.terms.items(), negated))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -277,20 +255,11 @@ class Polynomial:
         self._require_same_ring(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        out: Dict[Exponents, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Polynomial(self.ring, out)
+        theirs = other.terms.items()
+        return summed(self.ring, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in theirs
+        ))
 
     __rmul__ = __mul__
 
@@ -307,9 +276,6 @@ class Polynomial:
                 base = base * base
             n = base_needed
         return result
-
-    def scale(self, c) -> "Polynomial":
-        return self * c
 
     def multiply_monomial(self, exps: Exponents, coeff) -> "Polynomial":
         out = {}
@@ -333,28 +299,18 @@ class Polynomial:
         """Substitute values for some variables (by index)."""
         dom = self.ring.domain
         values = {v: dom.coerce(c) for v, c in assignment.items()}
-        out: Dict[Exponents, object] = {}
-        for exps, c in self.terms.items():
-            acc = c
-            new = list(exps)
-            for v, val in values.items():
-                e = exps[v]
-                if e:
-                    acc = acc * val ** e
-                    new[v] = 0
-            if not acc:
-                continue
-            ne = tuple(new)
-            s = out.get(ne)
-            if s is None:
-                out[ne] = acc
-            else:
-                s = s + acc
-                if s:
-                    out[ne] = s
-                else:
-                    del out[ne]
-        return Polynomial(self.ring, out)
+
+        def specialized():
+            for exps, c in self.terms.items():
+                new = list(exps)
+                for v, val in values.items():
+                    e = exps[v]
+                    if e:
+                        c = c * val ** e
+                        new[v] = 0
+                yield tuple(new), c
+
+        return summed(self.ring, specialized())
 
     def substitute(self, v: int, value: "Polynomial") -> "Polynomial":
         """Substitute a polynomial for variable v (Horner on v-degree)."""
@@ -369,23 +325,16 @@ class Polynomial:
 
     def permute_vars(self, image: Sequence[int]) -> "Polynomial":
         """Apply the variable substitution x_i -> x_image[i] in the same ring."""
-        out: Dict[Exponents, object] = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(exps)
-            for i, e in enumerate(exps):
-                if e:
-                    new[image[i]] += e
-            ne = tuple(new)
-            s = out.get(ne)
-            if s is None:
-                out[ne] = c
-            else:
-                s = s + c
-                if s:
-                    out[ne] = s
-                else:
-                    del out[ne]
-        return Polynomial(self.ring, out)
+
+        def permuted():
+            for exps, c in self.terms.items():
+                new = [0] * len(exps)
+                for i, e in enumerate(exps):
+                    if e:
+                        new[image[i]] += e
+                yield tuple(new), c
+
+        return summed(self.ring, permuted())
 
     def derivative(self, v: int) -> "Polynomial":
         dom = self.ring.domain
@@ -419,6 +368,21 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{format_poly(self)}>"
+
+
+def summed(ring: PolyRing, pairs: Iterable[Tuple[Exponents, object]]) -> Polynomial:
+    """The sum of (exponent tuple, coefficient) terms as a polynomial of
+    ``ring``: coefficients of equal exponent tuples are added, and every
+    zero, given or summed, is dropped.  The pairs are trusted: tuples of
+    ring.nvars ints and elements of ring.domain."""
+    terms: Dict[Exponents, object] = {}
+    get = terms.get
+    for exps, c in pairs:
+        s = get(exps)
+        terms[exps] = c if s is None else s + c
+    if not all(terms.values()):
+        terms = {e: c for e, c in terms.items() if c}
+    return Polynomial(ring, terms)
 
 
 def format_poly(f: Polynomial) -> str:
@@ -479,7 +443,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
     nvars = ring.nvars
     one = dom.one
     minus_one = -one
-    terms: Dict[Exponents, object] = {}
+    pairs = []
     pos, end = 0, len(text)
     if not text.strip():
         raise ParseError("empty polynomial text")
@@ -508,19 +472,8 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
             if i is None:
                 raise ParseError(f"unknown variable {name!r}")
             exps[i] += int(e) if e else 1
-        if num is not None and not c:
-            continue
-        key = tuple(exps)
-        s = terms.get(key)
-        if s is None:
-            terms[key] = c
-        else:
-            s = s + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return Polynomial(ring, terms)
+        pairs.append((tuple(exps), c))
+    return summed(ring, pairs)
 
 
 def _scan_error(text: str, pos: int) -> str:

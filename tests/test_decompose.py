@@ -240,7 +240,7 @@ def test_zero_dim_leaf_certificates_are_the_maximality_certificates(nvars, rows)
         g = ring.var(ring.names[v]) ** d
         for e, c in lower:
             if sum(e[:nvars]) < d:
-                g = g + ring.monomial(e[:nvars]).scale(c)
+                g = g + ring.monomial(e[:nvars], c)
         gens.append(g)
     for c in zero_dim_decompose(Ideal(ring, gens)):
         if c.certified:
@@ -698,7 +698,7 @@ _small_term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
                      min_size=1, max_size=2))
 def test_level_exponent_matches_saturate_on_small_ideals(gens):
     ring = PolyRing(("x", "y", "z"), QQ)
-    polys = [sum((ring.monomial(e).scale(c) for e, c in terms), ring.zero)
+    polys = [sum((ring.monomial(e, c) for e, c in terms), ring.zero)
              for terms in gens]
     I = Ideal(ring, polys)
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -833,7 +833,7 @@ def test_stabilizes_agrees_with_basis_equality(rxyzw):
 def test_stabilizes_agrees_with_basis_equality_on_small_ideals(gens, image, closed):
     ring = PolyRing(("x", "y", "z"), QQ)
     sigma = SymmetryAction(tuple(image))
-    polys = [sum((ring.monomial(e).scale(c) for e, c in terms), ring.zero)
+    polys = [sum((ring.monomial(e, c) for e, c in terms), ring.zero)
              for terms in gens]
     if closed:
         # with the images of its generators under sigma, sigma^2, ..., the

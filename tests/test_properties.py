@@ -3,6 +3,10 @@
 * ``poly_gcd`` of a*c and b*c in Q[x,y] and Q[x,y,z] is the canonical
   associate of ``sympy.gcd``, and ``primitive_in`` of a*c in each variable
   is a canonical associate;
+* ``f + g``, ``f - g``, ``f * g``, ``specialize`` and ``permute_vars`` (an
+  image that merges two variables included) over Q and GF(32003) agree
+  with sympy, and sums that cancel (``f - f``, ``f * g - g * f``, a
+  specialization at a root) store no zero coefficient;
 * ``factor_rational_univariate`` of a product of small factors of total
   degree at most 8 gives the factors and multiplicities of
   ``sympy.factor_list``;
@@ -31,7 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealdec.cli import EXIT_ERROR, EXIT_OK, main
-from idealdec.domains import QQ, DomainError, PrimeField
+from idealdec.domains import QQ, DomainError, ModInt, PrimeField
 from idealdec.factorize import factor_rational_univariate, split_minimal_polynomial
 from idealdec.hyperedge import minor
 from idealdec.indepsets import minimal_hitting_sets
@@ -65,7 +69,10 @@ def _to_sympy(ring, f):
     syms = SYMBOLS[: ring.nvars]
     expr = sympy.Integer(0)
     for exps, c in f.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+        if isinstance(c, ModInt):
+            term = sympy.Integer(c.value)
+        else:
+            term = sympy.Rational(c.numerator, c.denominator)
         for s, e in zip(syms, exps):
             term *= s**e
         expr += term
@@ -108,6 +115,61 @@ def test_poly_gcd_matches_sympy(case):
     for v in range(nvars):
         pp = primitive_in(f, v)
         assert normalize_assoc(pp) == pp
+
+
+# -- term sums ----------------------------------------------------------------
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+_GF = PrimeField(32003)
+# over GF(32003) the coefficients 32000..32006 cancel small ones
+_field_ints = st.integers(-3, 3) | st.integers(32000, 32006)
+_RQ = PolyRing(NAMES, QQ)
+_RGF = PolyRing(NAMES, _GF)
+
+
+@st.composite
+def _sum_case(draw):
+    """Two polynomials in x, y, z over Q or GF(32003), a variable and a
+    value to specialize it at, and an image of the variables, perhaps
+    non-injective."""
+    ring = PolyRing(NAMES, draw(st.sampled_from([QQ, _GF])))
+    coeffs = _rationals if ring.domain is QQ else _field_ints
+    f, g = (ring.poly(draw(_terms(3, 3, 5, coeffs))) for _ in "fg")
+    v = draw(st.integers(0, 2))
+    image = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+    return ring, f, g, v, draw(coeffs), image
+
+
+def _agrees(ring, h, expr):
+    """h stores no zero coefficient and equals the sympy expression."""
+    assert all(h.terms.values())
+    options = {"modulus": ring.domain.p} if ring.domain is _GF else {"domain": "QQ"}
+    assert (sympy.Poly(_to_sympy(ring, h), *SYMBOLS, **options)
+            == sympy.Poly(expr, *SYMBOLS, **options))
+
+
+@_settings
+@given(case=_sum_case())
+@example(case=(_RQ, _RQ.parse("x - y"), _RQ.parse("x + y"),
+               0, Fraction(1), (0, 0, 2)))  # x - y with y -> x is 0
+@example(case=(_RGF, _RGF.parse("x*y - 1"), _RGF.parse("32002"),
+               1, 32004, (1, 1, 2)))  # 32004 is 1 and 32002 is -1
+def test_term_sums_match_sympy(case):
+    ring, f, g, v, a, image = case
+    F, G = _to_sympy(ring, f), _to_sympy(ring, g)
+    _agrees(ring, f + g, F + G)
+    _agrees(ring, f - g, F - G)
+    _agrees(ring, f * g, sympy.expand(F * G))
+    _agrees(ring, f.specialize({v: a}), F.subs(SYMBOLS[v], sympy.Rational(a.numerator, a.denominator)))
+    images = dict(zip(SYMBOLS, (SYMBOLS[i] for i in image)))
+    _agrees(ring, f.permute_vars(image), F.subs(images, simultaneous=True))
+    # sums that cancel: the antisymmetric part of f in x and y vanishes when
+    # y is sent to x, and x_v - a vanishes at x_v = a
+    at_root = ((ring.gens()[v] - a) * f).specialize({v: a})
+    merged = (f - f.permute_vars((1, 0, 2))).permute_vars((0, 0, 2))
+    for h in (f - f, f * g - g * f, f + g - f - g, at_root, merged):
+        _agrees(ring, h, 0)
 
 
 # -- minors -------------------------------------------------------------------
@@ -261,8 +323,6 @@ def test_split_minimal_polynomial_parts_recompose(case):
 
 
 # -- parsing ------------------------------------------------------------------
-
-_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from idealdec.domains import (
     MILLER_RABIN_BOUND,
     DomainError,
+    ModInt,
     PrimeField,
     QQ,
     is_prime,
@@ -95,6 +96,14 @@ def test_parse_drops_terms_that_vanish_mod_p():
     assert ring.parse("7*x + y").terms == ring.parse("y").terms
 
 
+def test_poly_validates_exponents_and_drops_zeros(rxy):
+    assert rxy.poly({(1, 0): 2, (0, 0): 0}).terms == {(1, 0): Fraction(2)}
+    assert rxy.poly({}).is_zero()
+    for bad in ({(1,): 1}, {(-1, 0): 1}, {(Fraction(1, 2), 0): 1}, {(1, "a"): 1}):
+        with pytest.raises(RingError):
+            rxy.poly(bad)
+
+
 def test_display_order_is_lex_descending(rxyz):
     f = rxyz.parse("y + x + z^4")
     assert format_poly(f) == "x + y + z^4"
@@ -116,7 +125,7 @@ def test_rational_coefficient_arithmetic(rxy):
     f = rxy.parse("1/2*x + 1/3")
     g = rxy.parse("1/2*x - 1/3")
     assert f * g == rxy.parse("1/4*x^2 - 1/9")
-    assert f.scale(Fraction(2)) == rxy.parse("x + 2/3")
+    assert f * Fraction(2) == rxy.parse("x + 2/3")
 
 
 def test_leading_data_depends_on_order(rxyz):
@@ -257,3 +266,12 @@ def test_prime_field_arithmetic():
     g = ring.parse("x^2 - 1")
     assert f == g
     assert (ring.parse("x + 3") + ring.parse("x + 4")) == ring.parse("2*x")
+
+
+def test_mod_int_zero_to_a_negative_power_is_a_division_by_zero():
+    assert ModInt(3, 7) ** -1 == ModInt(5, 7)
+    assert ModInt(0, 7) ** 0 == ModInt(1, 7)
+    with pytest.raises(ZeroDivisionError):
+        ModInt(0, 7) ** -1
+    with pytest.raises(ZeroDivisionError):
+        Fraction(0) ** -1
