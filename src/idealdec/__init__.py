@@ -65,7 +65,7 @@ def _register(name: str):
     return module
 
 
-globals().update((name, _register(name)) for name in (*_EXPORTS, "cli"))
+globals().update((name, _register(name)) for name in (*_EXPORTS, "hilbert", "cli"))
 
 
 def __getattr__(name: str):

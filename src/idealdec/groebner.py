@@ -8,14 +8,16 @@ elements form a Groebner basis of the extension ideal in K(u)[X minus u],
 with their K[u]-leading coefficients kept as honest ring elements (they are
 exactly the c_i used by contraction and the primality certificate).
 
-Selection strategy is normal (smallest lcm first).  S-pairs are pruned by
-the Gebauer-Moller update (Gebauer and Moller, *Installation of
-Buchberger's algorithm*, JSC 1988; the UPDATE of Becker and Weispfenning,
-*Groebner Bases*, 1993), once, when an element h joins the basis: queued
-pairs that h covers are dropped (criterion B), the new pairs with h are
-kept only if no smaller new lcm divides theirs (criteria M and F) and are
-then dropped when coprime, and elements whose leading monomial LM(h)
-divides form no further pairs, though they still reduce.  The lcm of
+Selection strategy is normal (smallest lcm first), except in a run given
+the ideal's Hilbert numerator (below), which takes pairs by lcm degree
+first.  S-pairs are pruned by the Gebauer-Moller update (Gebauer and
+Moller, *Installation of Buchberger's algorithm*, JSC 1988; the UPDATE of
+Becker and Weispfenning, *Groebner Bases*, 1993), once, when an element h
+joins the basis: queued pairs that h covers are dropped (criterion B), the
+new pairs with h are kept only if no smaller new lcm divides theirs
+(criteria M and F) and are then dropped when coprime, and elements whose
+leading monomial LM(h) divides form no further pairs, though they still
+reduce.  The lcm of
 LM(h) with each element still forming pairs is computed once per
 insertion, inline, and both criteria read it; the same loop finds the
 elements LM(h) divides, those whose lcm with it is their own leading
@@ -27,6 +29,25 @@ every input is a monomial, every S-polynomial is zero and there is no tail
 to reduce, so no pair is formed: the minimal generators, made monic, are
 the reduced basis.  Reduced bases over a field are unique for a fixed order,
 which the test-suite exploits heavily.
+
+A homogeneous ideal has one Hilbert function under every monomial order,
+so the numerator of its Hilbert series, read from any one basis
+(``GroebnerBasis.hilbert_numerator``, with Bigatti's algorithm in
+``hilbert``), tells a run under another order how many leading monomials
+each degree must have (Traverso, *Hilbert functions and the Buchberger
+algorithm*, JSC 1996; Bigatti, *Computation of Hilbert-Poincare series*,
+JPAA 1997).  ``buchberger`` given it computes the numerator N(L) of the
+ideal L of the inputs' leading monomials first; when that is the ideal's,
+L is the ideal of leading monomials, the inputs are a Groebner basis, and
+no pair is formed.  Otherwise it takes pairs by lcm degree, for
+homogeneous input their sugar, then by the order, and keeps N(L) up to
+date as elements join, N(L + <m>) = N(L) - t^deg(m) N(L : m).  L lies in
+the ideal of leading monomials, so its series is at least the ideal's in
+every degree; below the least degree where the two numerators differ they
+agree, L holds every leading monomial of those degrees, and the pairs of
+those degrees still queued reduce to zero and are dropped.  When the
+numerators agree the run ends.  Without a numerator, pairs, bases and
+counts are those of the normal strategy.
 
 Inside the kernel a monomial is one packed int, ``C = K << n*W | M``, in
 fields of W bits whose top bit is a guard (Monagan and Pearce, *Sparse
@@ -116,11 +137,13 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 from math import gcd, lcm
 from operator import and_, itemgetter, le, mul, or_, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+# a module, not names: only a run given a Hilbert numerator runs it
+from . import hilbert
 from .domains import ModInt
 from .orders import BLOCK, LEX, MonomialOrder, OrderError, block_order, degrevlex_order
 from .rings import Polynomial, PolyRing, RingError
@@ -468,6 +491,7 @@ class GroebnerBasis:
         "_leads",
         "_raw",
         "_elements",
+        "_numerator",
     )
 
     def __init__(
@@ -489,6 +513,7 @@ class GroebnerBasis:
         self._raw = set() if localized_vars is not None else {
             k for k, entry in enumerate(entries) if entry[2]}
         self._elements: Optional[Tuple[Polynomial, ...]] = None
+        self._numerator: Optional[hilbert.Numerator] = None
 
     def _run(self, width: int, reads: Optional[Sequence[int]],
              work: Optional[Callable[[_Packing], object]] = None):
@@ -651,6 +676,18 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return self.exponent((f,)) == 0
 
+    def hilbert_numerator(self) -> hilbert.Numerator:
+        """The numerator of the Hilbert series of K[X] modulo the leading
+        monomials (``hilbert.numerator``), computed once; for a homogeneous
+        ideal it is the ideal's own, under every order.  Raises
+        GroebnerError for a localized basis, whose leading monomials are
+        minimal only on the rest variables."""
+        if self.localized_vars is not None:
+            raise GroebnerError("a localized basis has no Hilbert series")
+        if self._numerator is None:
+            self._numerator = hilbert.numerator(self._leads)
+        return self._numerator
+
     def is_trivial(self) -> bool:
         """True iff the (localized) ideal is the unit ideal."""
         return any(all(e == 0 for e in proj) for proj in self.localized_lead_exps())
@@ -765,19 +802,41 @@ def _minimal(items: Sequence[tuple], guards: int) -> List[tuple]:
     return kept
 
 
+def _first_difference(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
+    """The least degree at which the numerators a and b differ, or None."""
+    return next((k for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=0))
+                 if x != y), None)
+
+
 def _minimal_entries(
-    gens: Sequence[Polynomial], packing: _Packing, p: int
+    gens: Sequence[Polynomial], packing: _Packing, p: int,
+    hilbert_numerator: Optional[hilbert.Numerator] = None,
 ) -> List[Entry]:
     """The entries of a minimal basis of the nonzero ``gens`` under the
     packing's order, by ascending leading monomial, their tails not yet
-    reduced."""
+    reduced; ``hilbert_numerator``, when given, is that of the ideal, whose
+    generators are then homogeneous."""
     guards, field, lcm_of = packing.guards, packing.field, packing.lcm
     exps, overflow, top = packing.exps, packing.overflow, packing.width - 1
     inputs = sorted((_poly_entry(g, packing) for g in gens), key=itemgetter(0))
-    if not any(tail for _, _, tail in inputs):
-        # monomial inputs: every S-polynomial is zero and there are no tails
-        # to reduce, so the minimal generators are the reduced basis
+    if len(inputs) == 1 or not any(tail for _, _, tail in inputs):
+        # one input forms no pair; of monomial inputs every S-polynomial is
+        # zero and there are no tails to reduce, so the minimal generators
+        # are the reduced basis
         return _minimal(inputs, guards)
+    if hilbert_numerator is not None:
+        # the numerator of the ideal of the leading monomials, and the least
+        # degree where it differs from the ideal's; pairs are keyed by lcm
+        # degree above the packed lcm, whose bits lie below ``kbits``
+        have = hilbert.packed_numerator([entry[0] & exps for entry in inputs],
+                                        packing.width, guards)
+        low = _first_difference(have, hilbert_numerator)
+        if low is None:
+            # the leading monomials have the ideal's Hilbert series, so they
+            # generate its ideal of leading monomials: a Groebner basis
+            return _minimal(inputs, guards)
+        kbits = packing.nbytes * 8
+        kmask = (1 << kbits) - 1
     entries: List[Entry] = []
     # the M parts of the entries' leading monomials
     lead_m: List[int] = []
@@ -785,7 +844,8 @@ def _minimal_entries(
     # only these form new pairs
     live: List[int] = []
     # queued pairs (i, j), i < j, and the M parts of their lcms; the heap
-    # orders them by packed lcm and skips a pair once it has left the dict
+    # orders them by packed lcm, after lcm degree in a run given the Hilbert
+    # numerator, and skips a pair once it has left the dict
     pairs: Dict[Tuple[int, int], int] = {}
     heap: List[tuple] = []
 
@@ -853,7 +913,10 @@ def _minimal_entries(
                 kept.append(m)
                 if key >> bits & 1:
                     pairs[i, j] = m
-                    heapq.heappush(heap, (packing.from_m(m), i, j))
+                    sel = packing.from_m(m)
+                    if hilbert_numerator is not None:
+                        sel |= (m & field) << kbits
+                    heapq.heappush(heap, (sel, i, j))
         still.append(j)
         live[:] = still
 
@@ -864,11 +927,27 @@ def _minimal_entries(
         key, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
+        if hilbert_numerator is not None:
+            if key >> kbits < low:
+                # every leading monomial of the ideal below degree ``low``
+                # is there, so the S-polynomial reduces to zero
+                continue
+            key &= kmask
         r, _ = _reduce(spolynomial(entries[i], entries[j], packing, key), entries,
                        packing, p)
         if r:
             # the remainder is built greatest term first
-            add_poly(_make_entry(r, next(iter(r)), p))
+            entry = _make_entry(r, next(iter(r)), p)
+            if hilbert_numerator is not None:
+                # N(L + <m>) from N(L), L the ideal of the live leading
+                # monomials and m the new one
+                have = hilbert.numerator_with(
+                    have, [lead_m[k] & exps for k in live], entry[0] & exps,
+                    packing.width, guards)
+                low = _first_difference(have, hilbert_numerator)
+            add_poly(entry)
+            if hilbert_numerator is not None and low is None:
+                break
 
     return _minimal(entries, guards)
 
@@ -877,13 +956,17 @@ def buchberger(
     gens: Sequence[Polynomial],
     order: Optional[MonomialOrder] = None,
     localized_vars: Optional[Iterable[int]] = None,
+    hilbert_numerator: Optional[hilbert.Numerator] = None,
 ) -> GroebnerBasis:
     """Compute a reduced Groebner basis (minimal localized basis when
     ``localized_vars`` is given); a plain one is interreduced as it is read.
 
     ``order`` defaults to degrevlex.  With ``localized_vars`` it must be a
     plain lex/degrevlex kind; the computation order becomes the block order
-    (rest, kind) >> (u, kind).
+    (rest, kind) >> (u, kind).  ``hilbert_numerator``, when given, must be
+    the numerator of the Hilbert series of the ideal of ``gens``, all
+    homogeneous (``GroebnerBasis.hilbert_numerator`` of one of its bases),
+    and drops the S-pairs it proves to reduce to zero.
     """
     gens = [g for g in gens if g is not None]
     if not gens:
@@ -912,7 +995,7 @@ def buchberger(
     p = ring.domain.characteristic
 
     def run(packing):
-        entries = _minimal_entries(work, packing, p)
+        entries = _minimal_entries(work, packing, p, hilbert_numerator)
         if loc is not None:
             # a localized basis is read whole: interreduce it now
             _interreduce(entries, [entry[0] for entry in entries],

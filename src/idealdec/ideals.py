@@ -39,6 +39,14 @@ degrevlex with its variable moved last.  The contraction's coefficients
 come from the cached degrevlex basis localized at u, as the ranking's do
 (Greuel-Pfister, Prop. 4.3.1: any block order with u last will do).
 Saturations are not cached: each call computes its bases afresh.
+
+When every generator is homogeneous and the plain degrevlex basis is
+already cached, each other basis of the ideal, under another order or
+localized, is computed with the Hilbert numerator of that cached basis
+(``GroebnerBasis.hilbert_numerator``), which drops the S-pairs that reduce
+to zero.  No basis is computed only for its series: the ranking of
+independent sets, GTZ and the primality check read the degrevlex basis
+before any localized one, so theirs are all driven.
 """
 
 from __future__ import annotations
@@ -58,10 +66,14 @@ class IdealError(ValueError):
     pass
 
 
+# the cache key of the plain degrevlex basis
+_PLAIN = (degrevlex_order(), None)
+
+
 class Ideal:
     """A finitely generated ideal of a polynomial ring."""
 
-    __slots__ = ("ring", "generators", "_gb_cache")
+    __slots__ = ("ring", "generators", "_gb_cache", "_homogeneous")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -77,6 +89,8 @@ class Ideal:
         # created on first use: most ideals (components, saturation results)
         # are built, read and kept without ever filling it
         self._gb_cache: Optional[Dict[tuple, groebner.GroebnerBasis]] = None
+        # whether every generator is homogeneous, found on first need
+        self._homogeneous: Optional[bool] = None
 
     @classmethod
     def parse(cls, ring: PolyRing, texts: Iterable[str]) -> "Ideal":
@@ -98,9 +112,20 @@ class Ideal:
             if not self.generators:
                 got = groebner.GroebnerBasis(self.ring, order, (), loc)
             else:
-                got = groebner.buchberger(self.generators, order, loc)
+                got = groebner.buchberger(self.generators, order, loc,
+                                          self._hilbert_numerator())
             self._gb_cache[cache_key] = got
         return got
+
+    def _hilbert_numerator(self):
+        """The Hilbert numerator of the cached plain degrevlex basis when
+        there is one and every generator is homogeneous, else None."""
+        plain = self._gb_cache.get(_PLAIN)
+        if plain is None:
+            return None
+        if self._homogeneous is None:
+            self._homogeneous = all(map(_is_homogeneous, self.generators))
+        return plain.hilbert_numerator() if self._homogeneous else None
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)

@@ -278,10 +278,16 @@ class Polynomial:
         return result
 
     def multiply_monomial(self, exps: Exponents, coeff) -> "Polynomial":
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, exps))] = c * coeff
-        return Polynomial(self.ring, out)
+        """coeff x^exps times self, coeff coerced into the domain."""
+        ring = self.ring
+        if len(exps) != ring.nvars:
+            raise RingError(f"exponent tuple {tuple(exps)} has length {len(exps)}, "
+                            f"ring has {ring.nvars} variables")
+        c = ring.domain.coerce(coeff)
+        if not c:
+            return ring.zero
+        return Polynomial(ring, {tuple(map(add, e, exps)): k * c
+                                 for e, k in self.terms.items()})
 
     # -- order-dependent views -------------------------------------------
 

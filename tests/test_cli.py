@@ -891,10 +891,11 @@ def test_runs_without_optional_packages(tmp_path):
 
 def test_a_command_runs_only_the_modules_it_uses(tmp_path):
     """In a fresh interpreter ``import idealdec`` runs no submodule, a
-    groebner run none of the decomposition stack and no gcd code, a
-    decompose run not the hyperedge constructors, and a build from a spec
-    neither the Groebner engine, the symmetry code, the gcd code, the
-    verifier nor the decomposition stack.  A registered submodule whose body has not run is
+    groebner run none of the decomposition stack, no gcd code and no
+    Hilbert numerator, a decompose run not the hyperedge constructors, and
+    a build from a spec neither the Groebner engine, the Hilbert
+    numerators, the symmetry code, the gcd code, the verifier nor the
+    decomposition stack.  A registered submodule whose body has not run is
     still in sys.modules, as a LazyLoader subclass of ModuleType."""
     import ast
     import os
@@ -933,8 +934,8 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path):
     assert after_import == set()
     assert "idealdec.groebner" in after_groebner
     unused = {f"idealdec.{m}" for m in
-              ("decompose", "factorize", "hyperedge", "indepsets", "polygcd",
-               "symmetry", "verify")}
+              ("decompose", "factorize", "hilbert", "hyperedge", "indepsets",
+               "polygcd", "symmetry", "verify")}
     assert unused.isdisjoint(after_groebner)
     assert "idealdec.decompose" in after_decompose
     assert "idealdec.hyperedge" not in after_decompose
@@ -942,8 +943,8 @@ def test_a_command_runs_only_the_modules_it_uses(tmp_path):
     _, after_build = modules_run("build", str(spec))
     assert "idealdec.hyperedge" in after_build
     unused = {f"idealdec.{m}" for m in
-              ("decompose", "factorize", "groebner", "indepsets", "polygcd",
-               "symmetry", "verify")}
+              ("decompose", "factorize", "groebner", "hilbert", "indepsets",
+               "polygcd", "symmetry", "verify")}
     assert unused.isdisjoint(after_build)
 
 

@@ -275,3 +275,27 @@ def test_mod_int_zero_to_a_negative_power_is_a_division_by_zero():
         ModInt(0, 7) ** -1
     with pytest.raises(ZeroDivisionError):
         Fraction(0) ** -1
+
+
+def test_multiply_monomial_by_zero_is_the_zero_polynomial(rxy):
+    f = rxy.parse("x + y").multiply_monomial((1, 0), 0)
+    assert f.is_zero()
+    assert f == rxy.zero
+    assert str(f) == "0"
+
+
+def test_multiply_monomial_coerces_its_coefficient_over_gf_p():
+    ring = PolyRing(("x", "y"), PrimeField(7))
+    f = ring.parse("x + 3*y")
+    assert f.multiply_monomial((1, 0), 2) == ring.parse("2*x^2 + 6*x*y")
+    assert f.multiply_monomial((0, 1), 2) == f * ring.parse("2*y")
+    assert f.multiply_monomial((0, 0), 7).is_zero()
+
+
+def test_multiply_monomial_rejects_an_exponent_tuple_of_the_wrong_length(rxy):
+    f = rxy.parse("x + y")
+    with pytest.raises(RingError, match="length 1"):
+        f.multiply_monomial((1,), 1)
+    with pytest.raises(RingError, match="length 3"):
+        f.multiply_monomial((1, 0, 0), 1)
+    assert f.multiply_monomial((0, 2), Fraction(1, 2)) == rxy.parse("1/2*x*y^2 + 1/2*y^3")
